@@ -9,7 +9,6 @@ calibration error, coverage at target accuracy).
 
 from .correctness import (
     CorrectnessClassifier,
-    answerable_label,
     exact_match_correct,
     similarity_correct,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "UsageError",
     "accuracy_at_trigger",
     "answer_similarity",
-    "answerable_label",
     "avg_bleu_score",
     "bleu",
     "build_report",

@@ -7,19 +7,17 @@ Wire protocol, one JSON object per line over stdin/stdout:
     response  {"error": "<message>"}     on failure
 
 Scores must lie in [0, 1]; anything else is rejected with AdapterError rather
-than trusted. A connection is used by one thread at a time; the pool hands
-out connections for parallel scoring and serializes access per process.
+than trusted. An ExternalSimilarity owns one scorer process and sends one
+request at a time, so callers that share it across threads never read each
+other's replies.
 """
 
 from __future__ import annotations
 
 import json
-import queue
 import shlex
 import subprocess
-from typing import Iterator
-
-from contextlib import contextmanager
+import threading
 
 from .errors import AdapterError
 from .similarity import SimilarityFn
@@ -80,47 +78,23 @@ class AdapterConnection:
                 self._proc.wait()
 
 
-class AdapterPool:
-    """A fixed-size pool of adapter connections for parallel scoring."""
-
-    def __init__(self, command: str | list[str], size: int = 1) -> None:
-        if size < 1:
-            raise ValueError(f"pool size must be >= 1, got {size}")
-        self.argv = shlex.split(command) if isinstance(command, str) else list(command)
-        self._connections: queue.Queue[AdapterConnection] = queue.Queue()
-        self._all: list[AdapterConnection] = []
-        for _ in range(size):
-            conn = AdapterConnection(self.argv)
-            self._all.append(conn)
-            self._connections.put(conn)
-
-    @contextmanager
-    def connection(self) -> Iterator[AdapterConnection]:
-        conn = self._connections.get()
-        try:
-            yield conn
-        finally:
-            self._connections.put(conn)
-
-    def close(self) -> None:
-        for conn in self._all:
-            conn.close()
-
-
 class ExternalSimilarity(SimilarityFn):
-    """A SimilarityFn backed by a pool of adapter subprocesses.
+    """A SimilarityFn backed by one adapter subprocess.
 
     The [0, 1] range check happens in answer_similarity, which sees every
-    score regardless of which connection produced it.
+    score the adapter returns.
     """
 
-    def __init__(self, command: str | list[str], name: str = "adapter", pool_size: int = 1) -> None:
+    def __init__(self, command: str | list[str], name: str = "adapter") -> None:
         self.name = name
-        self._pool = AdapterPool(command, pool_size)
+        argv = shlex.split(command) if isinstance(command, str) else list(command)
+        self._conn = AdapterConnection(argv)
+        # One request/response exchange at a time on the shared pipes.
+        self._lock = threading.Lock()
 
     def similarity(self, candidate: str, reference: str) -> float:
-        with self._pool.connection() as conn:
-            return conn.score(candidate, reference)
+        with self._lock:
+            return self._conn.score(candidate, reference)
 
     def close(self) -> None:
-        self._pool.close()
+        self._conn.close()

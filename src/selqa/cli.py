@@ -4,8 +4,10 @@ Subcommands: evaluate (full calibration report), score (per-record JSONL),
 sweep (threshold operating points), synth (generate a synthetic dump).
 Exit codes: 0 success, 1 usage error, 2 data error, 3 adapter error.
 
-Outputs are written atomically (temp file + rename) and are byte-identical
-across runs and across --jobs settings.
+Records are scored one after another, in input order. A record the loader
+accepts but a scoring method cannot score (no greedy logprobs, no samples) is
+a data error naming the file and the question id. Outputs are written
+atomically (temp file + rename) and are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -15,16 +17,15 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import io as selqa_io
 from . import metrics, scoring, synth
 from .correctness import CorrectnessClassifier
 from .errors import AdapterError, DataError, UsageError
 from .similarity import BleuSimilarity, SimilarityFn
-from .records import ScoredPrediction
+from .records import GoldRecord, PredictionRecord, ScoredPrediction
 
 _EXIT_USAGE = 1
 _EXIT_DATA = 2
@@ -90,8 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_input_flags(parser: argparse.ArgumentParser, gold_required: bool) -> None:
     parser.add_argument("--predictions", required=True, help="prediction dump (JSONL)")
     parser.add_argument("--gold", required=gold_required, help="gold annotations (JSON)")
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="parallel scoring workers (never changes the output)")
 
 
 def _add_scoring_flags(parser: argparse.ArgumentParser) -> None:
@@ -135,9 +134,7 @@ def _build_similarity(args: argparse.Namespace) -> SimilarityFn:
     if args.adapter_cmd:
         from .adapter import ExternalSimilarity
 
-        return ExternalSimilarity(
-            args.adapter_cmd, name=args.adapter_name, pool_size=max(1, args.jobs)
-        )
+        return ExternalSimilarity(args.adapter_cmd, name=args.adapter_name)
     return BleuSimilarity(mode=args.sim_mode)
 
 
@@ -154,22 +151,23 @@ def _build_classifier(args: argparse.Namespace, fn: SimilarityFn) -> Correctness
 
 
 def _score_pairs(
-    pairs: Sequence[tuple],
-    methods: Sequence[str],
-    fn: SimilarityFn,
-    classifiers: Sequence[CorrectnessClassifier],
-    jobs: int,
-) -> list[ScoredPrediction]:
-    """Score records in parallel; results come back in input order."""
+    pairs: Sequence[tuple[PredictionRecord, GoldRecord | None]],
+    score_one: Callable[[PredictionRecord, GoldRecord | None], object],
+    predictions_path: str,
+) -> list:
+    """Score (record, gold) pairs one after another, in input order.
 
-    def one(pair: tuple) -> ScoredPrediction:
-        record, gold = pair
-        return scoring.score_all(record, gold, methods, fn, classifiers)
-
-    if jobs <= 1 or len(pairs) <= 1:
-        return [one(pair) for pair in pairs]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, pairs))
+    A ValueError from scoring becomes a DataError naming the question.
+    """
+    rows = []
+    for record, gold in pairs:
+        try:
+            rows.append(score_one(record, gold))
+        except ValueError as exc:
+            raise DataError(
+                f"{predictions_path}: question_id {record.question_id!r}: {exc}"
+            ) from exc
+    return rows
 
 
 def _write_atomic(data: bytes, out: str | None) -> None:
@@ -200,16 +198,31 @@ def _load_joined(args: argparse.Namespace):
     return pairs
 
 
+def _score_joined(
+    args: argparse.Namespace, methods: Sequence[str]
+) -> tuple[list[ScoredPrediction], CorrectnessClassifier, str]:
+    """Join predictions with gold and score every pair.
+
+    Returns the scored rows, the classifier and the similarity's name.
+    """
+    with _build_similarity(args) as fn:
+        classifier = _build_classifier(args, fn)
+        pairs = _load_joined(args)
+        scored = _score_pairs(
+            pairs,
+            lambda record, gold: scoring.score_all(record, gold, methods, fn, (classifier,)),
+            args.predictions,
+        )
+    return scored, classifier, fn.name
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     methods = _parse_methods(args)
     targets = _parse_targets(args.acc_targets)
     if args.bins < 1:
         raise UsageError("--bins must be >= 1")
-    with _build_similarity(args) as fn:
-        classifier = _build_classifier(args, fn)
-        pairs = _load_joined(args)
-        scored = _score_pairs(pairs, methods, fn, (classifier,), args.jobs)
-    meta = {"classifier": classifier.name, "bins": str(args.bins), "similarity": fn.name}
+    scored, classifier, sim_name = _score_joined(args, methods)
+    meta = {"classifier": classifier.name, "bins": str(args.bins), "similarity": sim_name}
     if classifier.name != "em":
         meta["threshold"] = repr(classifier.threshold)
     report = metrics.build_report(
@@ -219,14 +232,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         (selqa_io.emit_report(report, args.format), args.out)
     ]
     if args.curves_out:
-        triggered = [s for s in scored if s.triggered]
         curve_dir = Path(args.curves_out)
         curve_dir.mkdir(parents=True, exist_ok=True)
         for method in methods:
-            points = [
-                metrics.EvalPoint(s.scores[method], s.correct[classifier.name], s.question_id)
-                for s in triggered
-            ]
+            points = metrics.method_points(scored, method, classifier.name)
             curve = metrics.risk_coverage_curve(points) if points else []
             outputs.append(
                 (selqa_io.emit_curve(curve), str(curve_dir / f"{_safe_name(method)}.csv"))
@@ -243,63 +252,44 @@ def _safe_name(method: str) -> str:
 
 def cmd_score(args: argparse.Namespace) -> int:
     methods = _parse_methods(args)
-    with _build_similarity(args) as fn:
-        lines = []
-        if args.gold:
-            classifier = _build_classifier(args, fn)
-            pairs = _load_joined(args)
-            scored = _score_pairs(pairs, methods, fn, (classifier,), args.jobs)
-            for s in scored:
-                lines.append(json.dumps(
-                    {
-                        "question_id": s.question_id,
-                        "triggered": s.triggered,
-                        "scores": s.scores,
-                        "correct": s.correct,
-                        "answerable": s.answerable,
-                    },
-                    ensure_ascii=False, separators=(",", ":"),
-                ))
-        else:
+    if args.gold:
+        scored, _, _ = _score_joined(args, methods)
+        rows = [
+            {
+                "question_id": s.question_id,
+                "triggered": s.triggered,
+                "scores": s.scores,
+                "correct": s.correct,
+                "answerable": s.answerable,
+            }
+            for s in scored
+        ]
+    else:
+        with _build_similarity(args) as fn:
             records = selqa_io.load_predictions(args.predictions)
-
-            def one(record):
-                return (
-                    record.question_id,
-                    scoring.trigger_decision(record.greedy),
-                    scoring.score_record(record, methods, fn),
-                )
-
-            if args.jobs <= 1 or len(records) <= 1:
-                results = [one(r) for r in records]
-            else:
-                with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                    results = list(pool.map(one, records))
-            for qid, triggered, scores in results:
-                lines.append(json.dumps(
-                    {"question_id": qid, "triggered": triggered, "scores": scores},
-                    ensure_ascii=False, separators=(",", ":"),
-                ))
+            rows = _score_pairs(
+                [(record, None) for record in records],
+                lambda record, _: {
+                    "question_id": record.question_id,
+                    "triggered": scoring.trigger_decision(record.greedy),
+                    "scores": scoring.score_record(record, methods, fn),
+                },
+                args.predictions,
+            )
+    lines = [json.dumps(row, ensure_ascii=False, separators=(",", ":")) for row in rows]
     _write_atomic(("\n".join(lines) + "\n").encode("utf-8") if lines else b"", args.out)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     methods = _parse_methods(args)
-    with _build_similarity(args) as fn:
-        classifier = _build_classifier(args, fn)
-        pairs = _load_joined(args)
-        scored = _score_pairs(pairs, methods, fn, (classifier,), args.jobs)
-    triggered = [s for s in scored if s.triggered]
-    if not triggered:
+    scored, classifier, _ = _score_joined(args, methods)
+    if not any(s.triggered for s in scored):
         raise DataError("nothing triggered; no operating points to sweep")
-    sweeps = {}
-    for method in methods:
-        points = [
-            metrics.EvalPoint(s.scores[method], s.correct[classifier.name], s.question_id)
-            for s in triggered
-        ]
-        sweeps[method] = metrics.threshold_sweep(points)
+    sweeps = {
+        method: metrics.threshold_sweep(metrics.method_points(scored, method, classifier.name))
+        for method in methods
+    }
     _write_atomic(selqa_io.emit_sweep(sweeps, args.format), args.out)
     return 0
 

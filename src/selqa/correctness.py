@@ -31,13 +31,6 @@ def similarity_correct(
     return best >= threshold
 
 
-def answerable_label(gold: GoldRecord) -> bool:
-    """OR over the per-annotation answerable flags."""
-    if not gold.annotations:
-        raise ValueError(f"gold record {gold.question_id!r} has no annotations")
-    return any(a.answerable for a in gold.annotations)
-
-
 @dataclass(frozen=True)
 class CorrectnessClassifier:
     """A named correctness rule: exact match or similarity-above-threshold.

@@ -202,6 +202,17 @@ def _verdict(scored: ScoredPrediction, classifier: str) -> bool:
         ) from None
 
 
+def method_points(
+    scored: Iterable[ScoredPrediction], method: str, classifier: str = "em"
+) -> list[EvalPoint]:
+    """One method's (score, verdict) point for every triggered record."""
+    return [
+        EvalPoint(score=s.scores[method], correct=_verdict(s, classifier), record_id=s.question_id)
+        for s in scored
+        if s.triggered
+    ]
+
+
 def build_report(
     scored: Sequence[ScoredPrediction],
     methods: Sequence[str],
@@ -220,14 +231,7 @@ def build_report(
     triggered = [s for s in scored if s.triggered]
     rows: dict[str, MethodMetrics] = {}
     for method in methods:
-        points = [
-            EvalPoint(
-                score=s.scores[method],
-                correct=_verdict(s, classifier),
-                record_id=s.question_id,
-            )
-            for s in triggered
-        ]
+        points = method_points(triggered, method, classifier)
         if points:
             rows[method] = MethodMetrics(
                 auc=roc_auc(points),

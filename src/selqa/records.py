@@ -62,6 +62,8 @@ class GoldRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "annotations", tuple(self.annotations))
+        if not self.annotations:
+            raise ValueError(f"gold record {self.question_id!r} has no annotations")
 
     @property
     def answerable(self) -> bool:

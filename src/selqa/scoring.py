@@ -18,7 +18,7 @@ import math
 from collections import Counter
 from typing import Iterable, Sequence
 
-from .correctness import CorrectnessClassifier, answerable_label
+from .correctness import CorrectnessClassifier
 from .errors import JoinError
 from .records import (
     ABSTENTION_MARKER,
@@ -174,5 +174,5 @@ def score_all(
         triggered=triggered,
         scores=scores,
         correct=correct,
-        answerable=answerable_label(gold),
+        answerable=gold.answerable,
     )

@@ -1,9 +1,10 @@
-from concurrent.futures import ThreadPoolExecutor
+import sys
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import pytest
 
 from selqa import AdapterError, answer_similarity
-from selqa.adapter import AdapterPool, ExternalSimilarity
+from selqa.adapter import ExternalSimilarity
 
 from conftest import adapter_cmd
 
@@ -48,15 +49,24 @@ class TestExternalSimilarity:
 
 class TestAdapterPool:
     def test_parallel_scoring_consistent(self):
-        with ExternalSimilarity(adapter_cmd("jaccard"), name="jac", pool_size=4) as fn:
-            pairs = [(f"word{i} shared", "shared other") for i in range(40)]
-            with ThreadPoolExecutor(max_workers=8) as executor:
-                results = list(executor.map(lambda p: fn.similarity(*p), pairs))
-            assert results == [pytest.approx(1 / 3)] * 40
-
-    def test_pool_size_validated(self):
-        with pytest.raises(ValueError):
-            AdapterPool(adapter_cmd("em"), size=0)
+        # One scorer process shared by 8 threads. Each request has its own
+        # expected score, so a reply read by the wrong thread shows up.
+        pairs = [(" ".join(["shared"] + [f"w{j}" for j in range(i % 5)]), "shared")
+                 for i in range(40)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        fn = ExternalSimilarity(adapter_cmd("jaccard"), name="jac")
+        executor = ThreadPoolExecutor(max_workers=8)
+        try:
+            futures = [executor.submit(fn.similarity, a, b) for a, b in pairs]
+            _, pending = wait(futures, timeout=60)
+        finally:
+            fn.close()  # a thread still blocked on a reply gets EOF, not a hang
+            executor.shutdown()
+            sys.setswitchinterval(interval)
+        assert not pending
+        results = [f.result() for f in futures]
+        assert results == [pytest.approx(1 / (1 + i % 5)) for i in range(40)]
 
     def test_unicode_round_trip(self):
         with ExternalSimilarity(adapter_cmd("em"), name="em") as fn:

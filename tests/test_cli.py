@@ -1,5 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selqa import EvalPoint, build_report, score_all
 from selqa.cli import main
@@ -37,17 +42,18 @@ class TestEvaluate:
         assert emit_report(report, "markdown") == (DATA_DIR / "golden_report.md").read_bytes()
         assert emit_report(report, "json") == (DATA_DIR / "golden_report.json").read_bytes()
 
-    def test_jobs_do_not_change_output(self, tmp_path):
+    def test_two_runs_identical_output(self, tmp_path):
         outputs = []
-        for jobs in ("1", "8"):
-            out = tmp_path / f"report-{jobs}.json"
-            curves = tmp_path / f"curves-{jobs}"
+        for attempt in ("a", "b"):
+            out = tmp_path / f"report-{attempt}.json"
+            curves = tmp_path / f"curves-{attempt}"
             assert run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
                        "--format", "json", "--out", str(out),
-                       "--curves-out", str(curves), "--jobs", jobs) == 0
+                       "--curves-out", str(curves)) == 0
             curve_bytes = {p.name: p.read_bytes() for p in sorted(curves.iterdir())}
             outputs.append((out.read_bytes(), curve_bytes))
         assert outputs[0] == outputs[1]
+        assert outputs[0][0] == (DATA_DIR / "golden_report.json").read_bytes()
 
     def test_single_method_projection(self, tmp_path, capsys):
         assert run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
@@ -90,7 +96,7 @@ class TestEvaluate:
                    "--adapter-cmd", " ".join(adapter_cmd("jaccard")),
                    "--adapter-name", "jaccard",
                    "--methods", "likelihood,avg-bleu",
-                   "--format", "json", "--out", str(out), "--jobs", "2")
+                   "--format", "json", "--out", str(out))
         assert code == 0
         payload = json.loads(out.read_text())
         assert set(payload["methods"]) == {"likelihood", "avg-jaccard"}
@@ -174,6 +180,77 @@ class TestSweep:
         ]
         curve = {(p.coverage, p.accuracy) for p in risk_coverage_curve(points)}
         assert all((row["coverage"], row["accuracy"]) in curve for row in sweep)
+
+
+# Records the loader accepts but a scoring method cannot score.
+UNSCORABLE = {
+    "empty-greedy": '{"question_id":"q-empty","greedy":{"text":"","logprobs":[]},'
+                    '"samples":[{"text":"yes","logprobs":[-0.1]}]}',
+    "no-samples": '{"question_id":"q-nosamples","greedy":{"text":"yes","logprobs":[-0.1]},'
+                  '"samples":[]}',
+}
+
+
+class TestUnscorableRecords:
+    @pytest.mark.parametrize("command,with_gold", [
+        ("evaluate", True), ("score", True), ("sweep", True), ("score", False),
+    ])
+    @pytest.mark.parametrize("case", sorted(UNSCORABLE))
+    def test_data_error_names_question(self, tmp_path, capsys, case, command, with_gold):
+        line = UNSCORABLE[case]
+        qid = json.loads(line)["question_id"]
+        pred = tmp_path / "p.jsonl"
+        pred.write_text(line + "\n")
+        gold = tmp_path / "g.json"
+        gold.write_text(json.dumps([{"question_id": qid, "answers": [{"answer": "yes"}]}]))
+        out = tmp_path / "out"
+        argv = [command, "--predictions", str(pred), "--out", str(out)]
+        if with_gold:
+            argv += ["--gold", str(gold)]
+        assert load_predictions(str(pred))  # the loader accepts it
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and qid in err and str(pred) in err
+        assert not out.exists()
+
+
+_texts = st.sampled_from(["", "yes", "Yes.", "no", "red apple", "unanswerable"])
+
+
+@st.composite
+def _answers(draw):
+    text = draw(_texts)
+    n_tokens = draw(st.integers(1, 3)) if text else 0
+    logprobs = draw(st.lists(st.floats(-5.0, 0.0), min_size=n_tokens, max_size=n_tokens))
+    return {"text": text, "logprobs": logprobs}
+
+
+@st.composite
+def _dumps(draw):
+    n = draw(st.integers(1, 4))
+    return [
+        {"question_id": f"q{i}", "greedy": draw(_answers()),
+         "samples": draw(st.lists(_answers(), max_size=3))}
+        for i in range(n)
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_dumps(), st.sampled_from(["likelihood", "repetition,diversity", "avg-bleu",
+                                  "likelihood,repetition,diversity,avg-bleu"]))
+def test_accepted_dumps_score_or_fail_as_data_errors(records, methods):
+    with tempfile.TemporaryDirectory() as tmp:
+        pred = Path(tmp) / "p.jsonl"
+        pred.write_text("".join(json.dumps(r) + "\n" for r in records))
+        gold = Path(tmp) / "g.json"
+        gold.write_text(json.dumps(
+            [{"question_id": r["question_id"], "answers": [{"answer": "yes"}]} for r in records]
+        ))
+        assert len(load_predictions(str(pred))) == len(records)
+        # any other exception escapes main() and fails the test with its traceback
+        code = run("evaluate", "--predictions", str(pred), "--gold", str(gold),
+                   "--methods", methods, "--out", str(Path(tmp) / "report.md"))
+        assert code in (0, 2)
 
 
 class TestSynth:

@@ -8,7 +8,6 @@ from selqa import (
     GoldAnnotation,
     GoldRecord,
     answer_similarity,
-    answerable_label,
     exact_match_correct,
     similarity_correct,
 )
@@ -94,22 +93,10 @@ class TestProperties:
 
 
 class TestAnswerable:
-    def test_one_of_ten(self):
-        flags = [False] * 9 + [True]
-        g = GoldRecord("q", tuple(GoldAnnotation("x", f) for f in flags))
-        assert answerable_label(g) is True
-
-    def test_all_false(self):
-        g = GoldRecord("q", tuple(GoldAnnotation("x", False) for _ in range(5)))
-        assert answerable_label(g) is False
-
-    def test_all_true(self):
-        g = GoldRecord("q", tuple(GoldAnnotation("x", True) for _ in range(5)))
-        assert answerable_label(g) is True
-
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            answerable_label(GoldRecord("q", ()))
+        # the answerable OR needs at least one annotation to be defined
+        with pytest.raises(ValueError, match="no annotations"):
+            GoldRecord("q", ())
 
 
 class TestClassifier:
