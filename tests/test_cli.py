@@ -55,6 +55,16 @@ class TestEvaluate:
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == (DATA_DIR / "golden_report.json").read_bytes()
 
+    def test_golden_curves(self, tmp_path):
+        curves = tmp_path / "curves"
+        assert run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
+                   "--out", str(tmp_path / "report.md"), "--curves-out", str(curves)) == 0
+        expected = DATA_DIR / "golden_curves"
+        got = {p.name: p.read_bytes() for p in sorted(curves.iterdir())}
+        assert got == {p.name: p.read_bytes() for p in sorted(expected.iterdir())}
+        assert sorted(got) == ["avg-bleu.csv", "diversity.csv", "likelihood.csv",
+                               "repetition.csv"]
+
     def test_single_method_projection(self, tmp_path, capsys):
         assert run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
                    "--methods", "likelihood", "--format", "csv") == 0
@@ -154,6 +164,12 @@ class TestScore:
 
 
 class TestSweep:
+    def test_golden_sweep(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run("sweep", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
+                   "--out", str(out)) == 0
+        assert out.read_bytes() == (DATA_DIR / "golden_sweep.csv").read_bytes()
+
     def test_rows_per_method(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
