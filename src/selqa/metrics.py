@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .records import CalibrationReport, MethodMetrics, ScoredPrediction
@@ -37,8 +37,19 @@ class RiskCoveragePoint:
     accuracy: float  # percent in [0, 100]
 
 
-def _ordered(points: Iterable[EvalPoint]) -> list[EvalPoint]:
-    return sorted(points, key=lambda p: (-p.score, p.record_id))
+def _rank(points: Iterable[EvalPoint]) -> tuple[list[float], list[int]]:
+    """The one ranking every metric reads: descending score, ties by record id.
+
+    Returns the scores in that order and hits, where hits[m] is the number of
+    correct points among the top m (so hits[0] == 0).
+    """
+    ordered = sorted(points, key=lambda p: (-p.score, p.record_id))
+    return [p.score for p in ordered], list(accumulate((p.correct for p in ordered), initial=0))
+
+
+def _run_ends(scores: Sequence[float]) -> list[int]:
+    """Prefix lengths at which a run of tied scores ends, the last being N."""
+    return [m for m in range(1, len(scores)) if scores[m] != scores[m - 1]] + [len(scores)]
 
 
 def ece(points: Sequence[EvalPoint], n_bins: int = 10) -> float:
@@ -51,47 +62,46 @@ def ece(points: Sequence[EvalPoint], n_bins: int = 10) -> float:
     """
     if not points:
         raise ValueError("ece needs at least one point")
+    return _ece(*_rank(points), n_bins)
+
+
+def _ece(scores: list[float], hits: list[int], n_bins: int) -> float:
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-    ordered = _ordered(points)
-    n = len(ordered)
-    base, extra = divmod(n, n_bins)
+    base, extra = divmod(len(scores), n_bins)
     gaps = []
     start = 0
-    for b in range(n_bins):
-        size = base + (1 if b < extra else 0)
-        if size == 0:
-            continue
-        chunk = ordered[start : start + size]
-        start += size
-        mean_score = math.fsum(p.score for p in chunk) / size
-        accuracy = sum(p.correct for p in chunk) / size
-        gaps.append(abs(mean_score - accuracy))
+    for b in range(min(n_bins, len(scores))):  # later bins would be empty
+        end = start + base + (b < extra)
+        size = end - start
+        accuracy = (hits[end] - hits[start]) / size
+        gaps.append(abs(math.fsum(scores[start:end]) / size - accuracy))
+        start = end
     return math.fsum(gaps) / len(gaps)
 
 
 def roc_auc(points: Sequence[EvalPoint]) -> float | None:
     """Probability that a random correct point outscores a random incorrect one.
 
-    Ties count 0.5. Grouping equal scores makes this O(N log N) while
-    summing exactly the same pairwise comparison count as brute force
-    (every term is a multiple of 0.5, so the accumulation is exact).
+    Ties count 0.5. Walking runs of tied scores counts exactly the pairwise
+    comparisons of brute force, as integers in half-units, with one division.
     Returns None when either class is empty.
     """
-    n_pos = sum(p.correct for p in points)
-    n_neg = len(points) - n_pos
+    return _auc(*_rank(points))
+
+
+def _auc(scores: list[float], hits: list[int]) -> float | None:
+    n_pos = hits[-1]
+    n_neg = len(scores) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranked = sorted(points, key=lambda p: p.score)
-    numerator = 0.0
-    neg_below = 0
-    for _, group in groupby(ranked, key=lambda p: p.score):
-        members = list(group)
-        group_pos = sum(p.correct for p in members)
-        group_neg = len(members) - group_pos
-        numerator += group_pos * neg_below + 0.5 * group_pos * group_neg
-        neg_below += group_neg
-    return numerator / (n_pos * n_neg)
+    wins = 0  # twice the win count: each negative loses 2 to a higher positive, 1 to a tie
+    start = 0
+    for end in _run_ends(scores):
+        run_pos = hits[end] - hits[start]
+        wins += (end - start - run_pos) * (2 * hits[start] + run_pos)
+        start = end
+    return wins / (2 * n_pos * n_neg)
 
 
 def coverage_at_accuracy(points: Sequence[EvalPoint], acc_target: float) -> float:
@@ -104,16 +114,14 @@ def coverage_at_accuracy(points: Sequence[EvalPoint], acc_target: float) -> floa
     """
     if not points:
         raise ValueError("coverage_at_accuracy needs at least one point")
+    return _coverage(_rank(points)[1], acc_target)
+
+
+def _coverage(hits: list[int], acc_target: float) -> float:
     if not 0.0 < acc_target <= 100.0:
         raise ValueError(f"acc_target must lie in (0, 100], got {acc_target}")
-    ordered = _ordered(points)
-    n = len(ordered)
-    best = 0
-    n_correct = 0
-    for m, point in enumerate(ordered, start=1):
-        n_correct += point.correct
-        if n_correct / m >= acc_target / 100.0:
-            best = m
+    n = len(hits) - 1
+    best = next((m for m in range(n, 0, -1) if hits[m] / m >= acc_target / 100.0), 0)
     return 100.0 * best / n
 
 
@@ -121,14 +129,9 @@ def risk_coverage_curve(points: Sequence[EvalPoint]) -> list[RiskCoveragePoint]:
     """Prefix accuracy at every coverage step 100*m/N, m = 1..N."""
     if not points:
         raise ValueError("risk_coverage_curve needs at least one point")
-    ordered = _ordered(points)
-    n = len(ordered)
-    curve = []
-    n_correct = 0
-    for m, point in enumerate(ordered, start=1):
-        n_correct += point.correct
-        curve.append(RiskCoveragePoint(100.0 * m / n, 100.0 * n_correct / m))
-    return curve
+    hits = _rank(points)[1]
+    n = len(points)
+    return [RiskCoveragePoint(100.0 * m / n, 100.0 * hits[m] / m) for m in range(1, n + 1)]
 
 
 @dataclass(frozen=True)
@@ -150,28 +153,18 @@ def threshold_sweep(points: Sequence[EvalPoint]) -> list[SweepRow]:
     """
     if not points:
         raise ValueError("threshold_sweep needs at least one point")
-    ordered = _ordered(points)
-    n = len(ordered)
-    distinct: list[float] = []
-    for p in ordered:
-        if not distinct or p.score != distinct[-1]:
-            distinct.append(p.score)
+    scores, hits = _rank(points)
+    n = len(scores)
     rows = []
-    m = 0
-    n_correct = 0
-    idx = 0
-    for i, cut in enumerate(distinct):
-        while idx < n and ordered[idx].score == cut:
-            n_correct += ordered[idx].correct
-            m += 1
-            idx += 1
-        if i + 1 < len(distinct):
-            tau = (cut + distinct[i + 1]) / 2.0
+    for m in _run_ends(scores):
+        cut = scores[m - 1]
+        if m < n:
+            tau = (cut + scores[m]) / 2.0
             if tau >= cut:  # adjacent floats can round the midpoint up
-                tau = distinct[i + 1]
+                tau = scores[m]
         else:
             tau = cut - 1.0
-        rows.append(SweepRow(tau=tau, coverage=100.0 * m / n, accuracy=100.0 * n_correct / m))
+        rows.append(SweepRow(tau=tau, coverage=100.0 * m / n, accuracy=100.0 * hits[m] / m))
     return rows
 
 
@@ -198,7 +191,7 @@ def _verdict(scored: ScoredPrediction, classifier: str) -> bool:
     except KeyError:
         raise ValueError(
             f"record {scored.question_id!r} has no verdict for classifier "
-            f"{classifier!r} (has: {sorted(scored.correct)})"
+            f"{classifier!r} (has: {list(scored.correct)})"
         ) from None
 
 
@@ -233,10 +226,11 @@ def build_report(
     for method in methods:
         points = method_points(triggered, method, classifier)
         if points:
+            scores, hits = _rank(points)
             rows[method] = MethodMetrics(
-                auc=roc_auc(points),
-                ece=ece(points, n_bins),
-                coverage_at={float(t): coverage_at_accuracy(points, t) for t in acc_targets},
+                auc=_auc(scores, hits),
+                ece=_ece(scores, hits, n_bins),
+                coverage_at={float(t): _coverage(hits, t) for t in acc_targets},
             )
         else:
             rows[method] = MethodMetrics(

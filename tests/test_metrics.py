@@ -16,7 +16,14 @@ from selqa import (
     threshold_sweep,
 )
 
-from oracles import pairwise_auc, prefix_coverage, prefix_curve, random_points
+from oracles import (
+    binned_ece,
+    cut_sweep,
+    pairwise_auc,
+    prefix_coverage,
+    prefix_curve,
+    random_points,
+)
 
 
 def pts(*pairs):
@@ -57,6 +64,13 @@ class TestEce:
         top = abs((0.9 + 0.8 + 0.7) / 3 - 2 / 3)
         bottom = abs((0.2 + 0.1) / 2 - 0.0)
         assert ece(points, n_bins=2) == pytest.approx((top + bottom) / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("n_bins", [1, 3, 10, 1000])
+    def test_matches_binned_oracle_bitwise(self, n_bins):
+        rng = random.Random(23 + n_bins)
+        for _ in range(60):
+            points = random_points(rng, max_n=120)
+            assert ece(points, n_bins) == binned_ece(points, n_bins)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -186,6 +200,13 @@ class TestThresholdSweep:
         rows = threshold_sweep(pts((0.8, True), (0.2, False)))
         assert len(rows) == 2
         assert [r.coverage for r in rows] == [50.0, 100.0]
+
+    def test_matches_cut_oracle_bitwise(self):
+        rng = random.Random(29)
+        for _ in range(60):
+            points = random_points(rng, max_n=120)
+            rows = [(r.tau, r.coverage, r.accuracy) for r in threshold_sweep(points)]
+            assert rows == cut_sweep(points)
 
     def test_tau_reproduces_retained_sets(self):
         rng = random.Random(41)
