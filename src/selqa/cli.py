@@ -5,9 +5,10 @@ sweep (threshold operating points), synth (generate a synthetic dump).
 Exit codes: 0 success, 1 usage error, 2 data error, 3 adapter error.
 
 Records are scored one after another, in input order. A record the loader
-accepts but a scoring method cannot score (no greedy logprobs, no samples) is
-a data error naming the file and the question id. Outputs are written
-atomically (temp file + rename) and are byte-identical across runs.
+accepts but a scoring method cannot score (no greedy logprobs, no samples,
+sample probabilities summing above 1) is a data error naming the file, the
+line and the question id. Outputs are written atomically (temp file +
+rename) and are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -157,17 +158,37 @@ def _score_pairs(
 ) -> list:
     """Score (record, gold) pairs one after another, in input order.
 
-    A ValueError from scoring becomes a DataError naming the question.
+    A ValueError from scoring becomes a DataError naming the line and the
+    question. Ids may repeat when there is no gold, so the line is that of
+    the same occurrence of the id.
     """
     rows = []
-    for record, gold in pairs:
+    for i, (record, gold) in enumerate(pairs):
         try:
             rows.append(score_one(record, gold))
         except ValueError as exc:
-            raise DataError(
-                f"{predictions_path}: question_id {record.question_id!r}: {exc}"
-            ) from exc
+            qid = record.question_id
+            occurrence = sum(1 for earlier, _ in pairs[:i] if earlier.question_id == qid)
+            lineno = _record_line(predictions_path, qid, occurrence)
+            where = "" if lineno is None else f"line {lineno}: "
+            raise DataError(f"{predictions_path}: {where}question_id {qid!r}: {exc}") from exc
     return rows
+
+
+def _record_line(path: str, question_id: str, occurrence: int) -> int | None:
+    """Line number of a record in a prediction dump, found by rescanning it.
+
+    occurrence picks among records sharing the id (0 is the first). Only the
+    error path calls this, so loading keeps no line number per record. None
+    when the file no longer holds the record (a pipe is read once).
+    """
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if line.strip() and json.loads(line)["question_id"] == question_id:
+                if occurrence == 0:
+                    return lineno
+                occurrence -= 1
+    return None
 
 
 def _write_atomic(data: bytes, out: str | None) -> None:

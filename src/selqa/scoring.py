@@ -68,7 +68,7 @@ def avg_bleu_score(samples: Sequence[SampledAnswer], fn: SimilarityFn | None = N
     sequence probability of its first occurrence, the score is
     (1/k) * sum over all ordered pairs (i, j) of p(a_i) * sim(a_i, a_j),
     diagonal included, so a unanimous sample set reduces to the likelihood
-    score of that answer.
+    score of that answer. A record whose weights sum above 1 is rejected.
     """
     if not samples:
         raise ValueError("avg similarity needs at least one sample")
@@ -78,22 +78,18 @@ def avg_bleu_score(samples: Sequence[SampledAnswer], fn: SimilarityFn | None = N
         key = normalize_answer(sample.text)
         if key not in weights:
             weights[key] = likelihood_score(sample)
+    # Weights are probabilities of distinct sequences, so a consistent dump
+    # keeps their sum at or below 1; beyond float noise the dump lies.
+    total = math.fsum(weights.values())
+    if total > 1.0 + 1e-9:
+        raise ValueError(f"distinct-sample probabilities sum above 1 ({total})")
     distinct = list(weights)
     # fsum is exact, so the result does not depend on first-occurrence order.
     terms = [
         weights[a] * answer_similarity(a, b, fn) for a in distinct for b in distinct
     ]
-    score = math.fsum(terms) / len(distinct)
-    if score > 1.0:
-        # Weights are probabilities of distinct sequences, so a consistent
-        # dump keeps the sum at or below 1; beyond float noise the dump lies.
-        if score <= 1.0 + 1e-9:
-            return 1.0
-        raise ValueError(
-            f"average similarity {score} exceeds 1; distinct-sample "
-            "probabilities sum above 1 in this record"
-        )
-    return score
+    # With similarities in [0, 1] the score is at most the weight sum.
+    return min(math.fsum(terms) / len(distinct), 1.0)
 
 
 def trigger_decision(greedy: SampledAnswer) -> bool:

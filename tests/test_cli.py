@@ -204,7 +204,13 @@ UNSCORABLE = {
                     '"samples":[{"text":"yes","logprobs":[-0.1]}]}',
     "no-samples": '{"question_id":"q-nosamples","greedy":{"text":"yes","logprobs":[-0.1]},'
                   '"samples":[]}',
+    # "cat" and "dog" each claim p=0.9; avg-bleu would score this 0.9
+    "p-sum-above-1": '{"question_id":"q-psum","greedy":{"text":"cat","logprobs":[-0.1]},'
+                     '"samples":[{"text":"cat","logprobs":[-0.10536051565782628]},'
+                     '{"text":"dog","logprobs":[-0.10536051565782628]}]}',
 }
+SCORABLE = ('{"question_id":"q-good","greedy":{"text":"yes","logprobs":[-0.1]},'
+            '"samples":[{"text":"yes","logprobs":[-0.1]}]}')
 
 
 class TestUnscorableRecords:
@@ -216,18 +222,32 @@ class TestUnscorableRecords:
         line = UNSCORABLE[case]
         qid = json.loads(line)["question_id"]
         pred = tmp_path / "p.jsonl"
-        pred.write_text(line + "\n")
+        pred.write_text(SCORABLE + "\n\n" + line + "\n")  # the bad record is on line 3
         gold = tmp_path / "g.json"
-        gold.write_text(json.dumps([{"question_id": qid, "answers": [{"answer": "yes"}]}]))
+        gold.write_text(json.dumps(
+            [{"question_id": q, "answers": [{"answer": "yes"}]} for q in ("q-good", qid)]
+        ))
         out = tmp_path / "out"
         argv = [command, "--predictions", str(pred), "--out", str(out)]
         if with_gold:
             argv += ["--gold", str(gold)]
-        assert load_predictions(str(pred))  # the loader accepts it
+        assert len(load_predictions(str(pred))) == 2  # the loader accepts it
         assert run(*argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("data error: ") and qid in err and str(pred) in err
+        assert err.startswith(f"data error: {pred}: line 3: question_id {qid!r}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("case", sorted(UNSCORABLE))
+    def test_line_of_repeated_id_without_gold(self, tmp_path, capsys, case):
+        # without gold nothing joins on ids, so they may repeat: the line is
+        # that of the failing occurrence, not the first record with the id
+        bad = json.loads(UNSCORABLE[case])
+        bad["question_id"] = "q-good"
+        pred = tmp_path / "p.jsonl"
+        pred.write_text(SCORABLE + "\n" + SCORABLE + "\n\n" + json.dumps(bad) + "\n")
+        assert run("score", "--predictions", str(pred), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {pred}: line 4: question_id 'q-good': ")
 
 
 _texts = st.sampled_from(["", "yes", "Yes.", "no", "red apple", "unanswerable"])

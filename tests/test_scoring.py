@@ -122,6 +122,16 @@ class TestAvgBleu:
         with pytest.raises(ValueError, match="sum above 1"):
             avg_bleu_score(samples)
 
+    def test_probabilities_summing_above_1_rejected_before_scoring(self):
+        # the pair loop would score this (0.9 + 0.9) / 2 = 0.9, inside [0, 1]
+        samples = [ans("cat", math.log(0.9)), ans("dog", math.log(0.9))]
+        with pytest.raises(ValueError, match="sum above 1"):
+            avg_bleu_score(samples)
+
+    def test_probabilities_summing_to_1_within_noise_accepted(self):
+        samples = [ans("cat", math.log(0.5)), ans("dog", math.log(0.5 + 5e-10))]
+        assert avg_bleu_score(samples) == pytest.approx(0.5, abs=1e-9)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             avg_bleu_score([])
