@@ -1,9 +1,11 @@
 """Calibration metrics over the triggered subset.
 
-All orderings are deterministic: points sort by descending score with ties
-broken by ascending record id, so every metric is a pure, reproducible
-function of its input set. Degenerate cases (no positives, no negatives,
-nothing triggered) yield None, never 0 or NaN.
+Every metric reads one ranking (_rank): the points sorted once by descending
+score, ties broken by ascending record id, and an integer count of correct
+points in each prefix. AUC and coverage use exact integer counts, ECE sums
+bin scores with fsum, so every metric is a pure, reproducible function of its
+input set. build_report ranks each method once. Degenerate cases (no
+positives, no negatives, nothing triggered) yield None, never 0 or NaN.
 """
 
 from __future__ import annotations
@@ -44,7 +46,8 @@ def _rank(points: Iterable[EvalPoint]) -> tuple[list[float], list[int]]:
     correct points among the top m (so hits[0] == 0).
     """
     ordered = sorted(points, key=lambda p: (-p.score, p.record_id))
-    return [p.score for p in ordered], list(accumulate((p.correct for p in ordered), initial=0))
+    hits = list(accumulate((p.correct for p in ordered), initial=0))
+    return [p.score for p in ordered], hits
 
 
 def _run_ends(scores: Sequence[float]) -> list[int]:

@@ -88,10 +88,14 @@ def cut_sweep(points) -> list[tuple[float, float, float]]:
     return rows
 
 
-def random_points(rng: random.Random, max_n: int = 200) -> list[EvalPoint]:
-    """Random instances with deliberate score ties."""
+def random_points(rng: random.Random, max_n: int = 200, grid=None) -> list[EvalPoint]:
+    """Random instances with deliberate score ties.
+
+    The default grid is dyadic, so every sum of scores is exact; a decimal
+    grid makes float rounding in sums show.
+    """
     n = rng.randint(1, max_n)
-    grid = [i / 8 for i in range(9)]
+    grid = grid or [i / 8 for i in range(9)]
     return [
         EvalPoint(score=rng.choice(grid), correct=rng.random() < 0.5, record_id=f"r{i:04d}")
         for i in range(n)

@@ -65,11 +65,12 @@ class TestEce:
         bottom = abs((0.2 + 0.1) / 2 - 0.0)
         assert ece(points, n_bins=2) == pytest.approx((top + bottom) / 2, abs=1e-12)
 
+    @pytest.mark.parametrize("grid", [None, [i / 10 for i in range(11)]])
     @pytest.mark.parametrize("n_bins", [1, 3, 10, 1000])
-    def test_matches_binned_oracle_bitwise(self, n_bins):
+    def test_matches_binned_oracle_bitwise(self, n_bins, grid):
         rng = random.Random(23 + n_bins)
         for _ in range(60):
-            points = random_points(rng, max_n=120)
+            points = random_points(rng, max_n=120, grid=grid)
             assert ece(points, n_bins) == binned_ece(points, n_bins)
 
     def test_invalid_args(self):
