@@ -2,9 +2,10 @@
 
 These deliberately recompute everything from the definitions: exhaustive
 pairwise comparison for the ranking statistic, a full prefix rescan per
-cut for coverage, a fresh sort and slice per calibration bin, and a full
-recount of the retained set per sweep cut. They share no code with the
-package.
+cut for coverage, a fresh sort and slice per calibration bin, a full
+recount of the retained set per sweep cut, and per-pair normalization from
+raw text for avg-bleu. Apart from normalize_answer and the similarity
+function under test, they share no code with the package.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 
-from selqa import EvalPoint
+from selqa import EvalPoint, normalize_answer
 
 
 def pairwise_auc(points) -> float | None:
@@ -86,6 +87,26 @@ def cut_sweep(points) -> list[tuple[float, float, float]]:
         n_correct = sum(1 for p in retained if p.correct)
         rows.append((tau, 100.0 * len(retained) / n, 100.0 * n_correct / len(retained)))
     return rows
+
+
+def brute_avg_bleu(samples, fn) -> float:
+    """Avg-bleu from raw sample texts, normalizing both sides of every pair."""
+    firsts = {}
+    for sample in samples:
+        firsts.setdefault(normalize_answer(sample.text), sample)
+    raw = [(s.text, math.exp(math.fsum(s.logprobs))) for s in firsts.values()]
+    terms = []
+    for a, weight in raw:
+        for b, _ in raw:
+            norm_a, norm_b = normalize_answer(a), normalize_answer(b)
+            a_abstains = "unanswerable" in norm_a
+            b_abstains = "unanswerable" in norm_b
+            if a_abstains or b_abstains:
+                sim = 1.0 if a_abstains and b_abstains else 0.0
+            else:
+                sim = fn.similarity(norm_a, norm_b)
+            terms.append(weight * sim)
+    return min(math.fsum(terms) / len(raw), 1.0)
 
 
 def random_points(rng: random.Random, max_n: int = 200, grid=None) -> list[EvalPoint]:

@@ -26,6 +26,19 @@ from selqa import (
 from selqa.textnorm import normalize_answer
 
 from conftest import ans
+from oracles import brute_avg_bleu
+
+# Abstentions, case and punctuation variants, paraphrases, and texts that
+# normalize to "".
+_VARIANT_TEXTS = [
+    "Unanswerable.", "unanswerable", "that is unanswerable", "The", "?!", "",
+    "red apple", "Red Apple!", "the red apple", "apple", "an apple",
+    "red car", "a red car", "car that is red", "blue car on the table",
+    "cat", "Cat.", "the-cat", "cats",
+]
+_sample_texts = st.one_of(
+    st.sampled_from(_VARIANT_TEXTS), st.text(alphabet="ab .!-A", max_size=8)
+)
 
 
 class TestLikelihood:
@@ -110,6 +123,19 @@ class TestAvgBleu:
                 for b in distinct
             ) / len(distinct)
             assert avg_bleu_score(samples, fn) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["word", "char"])
+    @given(data=st.data())
+    def test_matches_per_pair_oracle_bitwise(self, mode, data):
+        texts = data.draw(st.lists(_sample_texts, min_size=1, max_size=10))
+        # Every sample's probability is at most 1/len(texts), so the
+        # distinct-answer weights never sum above 1.
+        units = data.draw(st.lists(
+            st.floats(0.01, 1.0), min_size=len(texts), max_size=len(texts)
+        ))
+        samples = [ans(t, math.log(u / len(texts))) for t, u in zip(texts, units)]
+        fn = BleuSimilarity(mode=mode)
+        assert avg_bleu_score(samples, fn) == brute_avg_bleu(samples, fn)
 
     def test_first_occurrence_weight_wins(self):
         samples = [ans("cat", math.log(0.5)), ans("cat", math.log(0.1))]
