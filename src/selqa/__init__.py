@@ -62,9 +62,7 @@ from .similarity import (
     SimilarityFn,
     answer_similarity,
     bleu,
-    pairwise_matrix,
 )
-from .synth import SynthConfig, generate
 from .textnorm import normalize_answer, tokenize
 
 __version__ = "0.1.0"
@@ -93,7 +91,6 @@ __all__ = [
     "SelqaError",
     "SimilarityFn",
     "SweepRow",
-    "SynthConfig",
     "UsageError",
     "accuracy_at_trigger",
     "answer_similarity",
@@ -104,10 +101,8 @@ __all__ = [
     "diversity_score",
     "ece",
     "exact_match_correct",
-    "generate",
     "likelihood_score",
     "normalize_answer",
-    "pairwise_matrix",
     "repetition_score",
     "resolve_method_names",
     "risk_coverage_curve",

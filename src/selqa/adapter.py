@@ -68,14 +68,18 @@ class AdapterConnection:
         return float(score)
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            try:
-                if self._proc.stdin is not None:
-                    self._proc.stdin.close()
-                self._proc.wait(timeout=5)
-            except (OSError, subprocess.TimeoutExpired):
-                self._proc.kill()
-                self._proc.wait()
+        """Close both pipes and reap the scorer, killing it if it lingers."""
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass  # a broken pipe: the scorer already exited
+        try:
+            self._proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        finally:
+            self._proc.stdout.close()
 
 
 class ExternalSimilarity(SimilarityFn):

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import io as selqa_io
-from . import metrics, scoring, synth
+from . import metrics, scoring
 from .correctness import CorrectnessClassifier
 from .errors import AdapterError, DataError, UsageError
 from .similarity import BleuSimilarity, SimilarityFn
@@ -158,37 +158,19 @@ def _score_pairs(
 ) -> list:
     """Score (record, gold) pairs one after another, in input order.
 
-    A ValueError from scoring becomes a DataError naming the line and the
-    question. Ids may repeat when there is no gold, so the line is that of
-    the same occurrence of the id.
+    A ValueError from scoring becomes a DataError naming the record's line
+    and question.
     """
     rows = []
-    for i, (record, gold) in enumerate(pairs):
+    for record, gold in pairs:
         try:
             rows.append(score_one(record, gold))
         except ValueError as exc:
-            qid = record.question_id
-            occurrence = sum(1 for earlier, _ in pairs[:i] if earlier.question_id == qid)
-            lineno = _record_line(predictions_path, qid, occurrence)
-            where = "" if lineno is None else f"line {lineno}: "
-            raise DataError(f"{predictions_path}: {where}question_id {qid!r}: {exc}") from exc
+            where = "" if record.line is None else f"line {record.line}: "
+            raise DataError(
+                f"{predictions_path}: {where}question_id {record.question_id!r}: {exc}"
+            ) from exc
     return rows
-
-
-def _record_line(path: str, question_id: str, occurrence: int) -> int | None:
-    """Line number of a record in a prediction dump, found by rescanning it.
-
-    occurrence picks among records sharing the id (0 is the first). Only the
-    error path calls this, so loading keeps no line number per record. None
-    when the file no longer holds the record (a pipe is read once).
-    """
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if line.strip() and json.loads(line)["question_id"] == question_id:
-                if occurrence == 0:
-                    return lineno
-                occurrence -= 1
-    return None
 
 
 def _write_atomic(data: bytes, out: str | None) -> None:
@@ -316,6 +298,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # Only synth needs numpy, so the other subcommands start without it.
+    from . import synth
+
     try:
         config = synth.SynthConfig(
             n=args.n,

@@ -27,7 +27,11 @@ def similarity_correct(
     """True iff the best similarity against any gold answer reaches the threshold."""
     if not 0.0 <= threshold <= 1.0:
         raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    best = max(answer_similarity(prediction, a.answer, fn) for a in gold.annotations)
+    normalized = normalize_answer(prediction)
+    best = max(
+        answer_similarity(normalized, normalize_answer(a.answer), fn)
+        for a in gold.annotations
+    )
     return best >= threshold
 
 
@@ -55,12 +59,10 @@ class CorrectnessClassifier:
 
     @classmethod
     def bleu_threshold(
-        cls, threshold: float = 0.5, max_order: int = 4, mode: str = "word"
+        cls, threshold: float = 0.5, mode: str = "word"
     ) -> "CorrectnessClassifier":
         return cls(
-            name="bleu-threshold",
-            threshold=threshold,
-            similarity=BleuSimilarity(max_order=max_order, mode=mode),
+            name="bleu-threshold", threshold=threshold, similarity=BleuSimilarity(mode=mode)
         )
 
     @classmethod

@@ -67,7 +67,7 @@ def dump_predictions(records: Sequence[PredictionRecord], path: str) -> None:
 def load_predictions(path: str) -> list[PredictionRecord]:
     """Parse and validate a prediction dump, preserving file order.
 
-    Errors carry the offending line number.
+    Errors carry the offending line number, and each record keeps its line.
     """
     records = []
     with open(path, encoding="utf-8") as f:
@@ -80,7 +80,7 @@ def load_predictions(path: str) -> list[PredictionRecord]:
             except json.JSONDecodeError as exc:
                 raise ParseError(path, where, f"invalid JSON: {exc.msg}") from exc
             try:
-                record = _prediction_from_obj(obj)
+                record = _prediction_from_obj(obj, lineno)
             except KeyError as exc:
                 raise ParseError(path, where, f"missing field {exc}") from exc
             except (TypeError, ValueError) as exc:
@@ -92,7 +92,7 @@ def load_predictions(path: str) -> list[PredictionRecord]:
     return records
 
 
-def _prediction_from_obj(obj: dict) -> PredictionRecord:
+def _prediction_from_obj(obj: dict, line: int) -> PredictionRecord:
     if not isinstance(obj, dict):
         raise ValueError("record is not a JSON object")
     qid = _expect_str(obj, "question_id")
@@ -109,7 +109,9 @@ def _prediction_from_obj(obj: dict) -> PredictionRecord:
             isinstance(k, str) and isinstance(v, str) for k, v in meta.items()
         ):
             raise ValueError("meta must map strings to strings")
-    return PredictionRecord(question_id=qid, greedy=greedy, samples=samples, meta=meta)
+    return PredictionRecord(
+        question_id=qid, greedy=greedy, samples=samples, meta=meta, line=line
+    )
 
 
 def _answer_from_obj(obj: object, where: str) -> SampledAnswer:

@@ -32,13 +32,16 @@ class PredictionRecord:
 
     K is not fixed; sampling-based scorers require at least one sample, while
     likelihood scoring only needs the greedy answer. Decoding settings (model
-    name, temperature, ...) travel in ``meta`` as opaque strings.
+    name, temperature, ...) travel in ``meta`` as opaque strings. ``line`` is
+    the record's line in the dump it was loaded from, for error messages; it
+    takes no part in equality and is never written out.
     """
 
     question_id: str
     greedy: SampledAnswer
     samples: tuple[SampledAnswer, ...] = ()
     meta: Mapping[str, str] | None = None
+    line: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", tuple(self.samples))

@@ -1,9 +1,11 @@
 """Sentence-level BLEU and the pluggable answer-pair similarity abstraction.
 
-Similarity functions score a (candidate, reference) pair of normalized
-answers into [0, 1]. The built-in scorer is smoothed sentence BLEU; external
-model-backed scorers plug in through :mod:`selqa.adapter` and are held to the
-same output contract.
+Everything here works on normalized text: the callers that hold raw answers
+(scoring and correctness) normalize each answer once, and similarity
+functions score a (candidate, reference) pair of normalized answers into
+[0, 1]. The built-in scorer is smoothed sentence BLEU; external model-backed
+scorers plug in through :mod:`selqa.adapter` and are held to the same output
+contract.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .records import ABSTENTION_MARKER
-from .textnorm import normalize_answer, tokenize
+from .textnorm import tokenize
 
 
 def bleu(candidate: Sequence[str], reference: Sequence[str], max_order: int = 4) -> float:
@@ -86,40 +88,36 @@ class BleuSimilarity(SimilarityFn):
 
     name = "bleu"
 
-    def __init__(self, max_order: int = 4, mode: str = "word") -> None:
-        if max_order < 1:
-            raise ValueError(f"max_order must be >= 1, got {max_order}")
+    def __init__(self, mode: str = "word") -> None:
         if mode not in ("word", "char"):
             raise ValueError(f"unknown tokenization mode: {mode!r}")
-        self.max_order = max_order
         self.mode = mode
 
     def similarity(self, candidate: str, reference: str) -> float:
-        return _bleu_text(candidate, reference, self.max_order, self.mode)
+        return _bleu_text(candidate, reference, self.mode)
 
 
 @lru_cache(maxsize=1 << 16)
-def _bleu_text(candidate: str, reference: str, max_order: int, mode: str) -> float:
-    return bleu(tokenize(candidate, mode), tokenize(reference, mode), max_order)
+def _bleu_text(candidate: str, reference: str, mode: str) -> float:
+    return bleu(tokenize(candidate, mode), tokenize(reference, mode))
 
 
 def answer_similarity(candidate: str, reference: str, fn: SimilarityFn) -> float:
-    """Similarity of two raw answers with the abstention override applied.
+    """Similarity of two normalized answers with the abstention override applied.
 
-    Both sides are normalized first. An abstention (normalized text containing
-    "unanswerable") has similarity 0 to any proper answer and 1 to another
-    abstention; only proper pairs reach the underlying similarity function,
-    whose output is range-checked rather than trusted.
+    Both sides must already be normalized (see textnorm.normalize_answer).
+    An abstention (text containing "unanswerable") has similarity 0 to any
+    proper answer and 1 to another abstention; only proper pairs reach the
+    underlying similarity function, whose output is range-checked rather
+    than trusted.
     """
-    norm_cand = normalize_answer(candidate)
-    norm_ref = normalize_answer(reference)
-    cand_abstains = ABSTENTION_MARKER in norm_cand
-    ref_abstains = ABSTENTION_MARKER in norm_ref
+    cand_abstains = ABSTENTION_MARKER in candidate
+    ref_abstains = ABSTENTION_MARKER in reference
     if cand_abstains and ref_abstains:
         return 1.0
     if cand_abstains or ref_abstains:
         return 0.0
-    score = fn.similarity(norm_cand, norm_ref)
+    score = fn.similarity(candidate, reference)
     if not (isinstance(score, (int, float)) and math.isfinite(score) and 0.0 <= score <= 1.0):
         from .errors import AdapterError
 
@@ -127,15 +125,3 @@ def answer_similarity(candidate: str, reference: str, fn: SimilarityFn) -> float
             f"similarity {fn.name!r} returned {score!r}, outside the [0, 1] contract"
         )
     return float(score)
-
-
-def pairwise_matrix(answers: Sequence[str], fn: SimilarityFn) -> list[list[float]]:
-    """k x k matrix of answer similarities; entry (i, j) scores answer i as
-    the candidate against answer j as the reference.
-
-    BLEU is asymmetric, so the matrix is not assumed symmetric. The diagonal
-    is 1.0 for every non-abstention answer.
-    """
-    if not answers:
-        raise ValueError("pairwise_matrix needs at least one answer")
-    return [[answer_similarity(a, b, fn) for b in answers] for a in answers]

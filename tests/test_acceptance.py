@@ -15,13 +15,13 @@ from selqa import (
     BleuSimilarity,
     EvalPoint,
     SampledAnswer,
+    answer_similarity,
     avg_bleu_score,
     bleu,
     build_report,
     coverage_at_accuracy,
     ece,
     likelihood_score,
-    pairwise_matrix,
     risk_coverage_curve,
     roc_auc,
     score_all,
@@ -91,7 +91,8 @@ def test_criterion_4_bleu_fixtures():
     with criterion(4, "BLEU hand fixtures and structural properties"):
         assert abs(bleu(["red", "apple"], ["red", "apple", "on", "table"]) - 0.3679) < 1e-4
         assert abs(bleu(["red", "apple"], ["apple"]) - 0.5) < 1e-4
-        matrix = pairwise_matrix(["red apple", "apple"], BleuSimilarity())
+        answers = ["red apple", "apple"]
+        matrix = [[answer_similarity(a, b, BleuSimilarity()) for b in answers] for a in answers]
         expected = [[1.0, 0.5], [0.3679, 1.0]]
         for got_row, want_row in zip(matrix, expected):
             for got, want in zip(got_row, want_row):

@@ -1,5 +1,7 @@
 import json
+import os
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -10,7 +12,7 @@ from selqa import EvalPoint, build_report, score_all
 from selqa.cli import main
 from selqa.io import emit_report, join, load_gold, load_predictions
 
-from conftest import DATA_DIR, adapter_cmd
+from conftest import DATA_DIR, adapter_cmd, run_python
 
 
 def run(*argv) -> int:
@@ -64,6 +66,19 @@ class TestEvaluate:
         assert got == {p.name: p.read_bytes() for p in sorted(expected.iterdir())}
         assert sorted(got) == ["avg-bleu.csv", "diversity.csv", "likelihood.csv",
                                "repetition.csv"]
+
+    def test_leaves_numpy_unimported(self, tmp_path):
+        # only synth needs numpy; evaluate must not pay for importing it
+        script = (
+            "import sys\n"
+            "from selqa.cli import main\n"
+            f"code = main(['evaluate', '--predictions', {GOLDEN_PRED!r}, '--gold', "
+            f"{GOLDEN_GOLD!r}, '--out', {str(tmp_path / 'report.md')!r}])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        proc = run_python(["-c", script], timeout=60)
+        assert proc.stdout == "0 False\n", proc.stderr
+        assert (tmp_path / "report.md").read_bytes() == (DATA_DIR / "golden_report.md").read_bytes()
 
     def test_single_method_projection(self, tmp_path, capsys):
         assert run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
@@ -248,6 +263,41 @@ class TestUnscorableRecords:
         assert run("score", "--predictions", str(pred), "--out", str(tmp_path / "out")) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {pred}: line 4: question_id 'q-good': ")
+
+    def test_piped_stdin_names_the_line(self):
+        bad = SCORABLE + "\n" + UNSCORABLE["no-samples"] + "\n"
+        proc = run_python(["-m", "selqa.cli", "score", "--predictions", "/dev/stdin"],
+                          input=bad, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            "data error: /dev/stdin: line 2: question_id 'q-nosamples': "
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_names_the_line(self, tmp_path):
+        # a named pipe can be read only once: the error must not reopen it
+        fifo = tmp_path / "p.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            try:
+                with open(fifo, "w") as f:
+                    f.write(SCORABLE + "\n" + UNSCORABLE["no-samples"] + "\n")
+            except BrokenPipeError:
+                pass  # the reader went away without reading
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            proc = run_python(["-m", "selqa.cli", "score", "--predictions", str(fifo)],
+                              timeout=30)
+        finally:
+            # unblock the writer if the reader never opened the pipe
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"data error: {fifo}: line 2: question_id 'q-nosamples': ")
 
 
 _texts = st.sampled_from(["", "yes", "Yes.", "no", "red apple", "unanswerable"])

@@ -11,6 +11,7 @@ from selqa import (
     exact_match_correct,
     similarity_correct,
 )
+from selqa.textnorm import normalize_answer
 
 
 def gold(*answers, answerable=True, qid="q"):
@@ -42,8 +43,19 @@ class TestSimilarityCorrect:
     def test_hand_bleu_verdict(self):
         fn = BleuSimilarity()
         g = gold("system restore message")
-        best = answer_similarity("a system restore", "system restore message", fn)
+        best = answer_similarity(
+            normalize_answer("a system restore"), normalize_answer("system restore message"), fn
+        )
         assert similarity_correct("a system restore", g, fn, 0.5) is (best >= 0.5)
+
+    def test_normalizes_before_scoring(self, similarity_fn):
+        assert similarity_correct("The Red Apple!", gold("red apple"), similarity_fn, 1.0)
+        assert similarity_correct("red apple", gold("The Red-Apple."), similarity_fn, 1.0)
+
+    def test_abstention_variants_match(self, similarity_fn):
+        # normalized, "Unanswerable." is an abstention like "unanswerable"
+        assert similarity_correct("Unanswerable.", gold("unanswerable"), similarity_fn, 1.0)
+        assert similarity_correct("unanswerable", gold("Unanswerable."), similarity_fn, 1.0)
 
     def test_max_over_gold(self):
         fn = BleuSimilarity()

@@ -16,8 +16,6 @@ from selqa import (
     RiskCoveragePoint,
     SampledAnswer,
     SweepRow,
-    SynthConfig,
-    generate,
 )
 from selqa.io import (
     dump_gold,
@@ -31,6 +29,7 @@ from selqa.io import (
     load_predictions,
     parse_report,
 )
+from selqa.synth import SynthConfig, generate
 
 
 def write(path, text):
@@ -81,6 +80,14 @@ class TestPredictionDump:
     def test_blank_lines_skipped(self, tmp_path):
         text = '\n{"question_id":"a","greedy":{"text":"x","logprobs":[-1]},"samples":[]}\n\n'
         assert len(load_predictions(write(tmp_path / "p.jsonl", text))) == 1
+
+    def test_records_keep_their_line(self, tmp_path):
+        line = '{"question_id":"q","greedy":{"text":"a","logprobs":[-1]},"samples":[]}'
+        loaded = load_predictions(write(tmp_path / "p.jsonl", f"{line}\n\n{line}\n"))
+        assert [r.line for r in loaded] == [1, 3]
+        # the line is bookkeeping: it is not part of equality or of a dump
+        assert loaded[0] == loaded[1]
+        assert "line" not in json.loads(dumps_prediction_line(loaded[1]))
 
     @pytest.mark.parametrize("bad", ["NaN", "-Infinity", "Infinity"])
     def test_nonfinite_logprobs_rejected(self, tmp_path, bad):

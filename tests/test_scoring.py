@@ -137,6 +137,19 @@ class TestAvgBleu:
         fn = BleuSimilarity(mode=mode)
         assert avg_bleu_score(samples, fn) == brute_avg_bleu(samples, fn)
 
+    def test_normalizes_before_scoring(self, similarity_fn):
+        # "The Red Apple!" and "red car" share "red" only once normalized:
+        # 1/2 under BLEU both ways, 1/3 under word-set jaccard
+        samples = [ans("The Red Apple!", math.log(0.4)), ans("red car", math.log(0.2))]
+        cross = 0.5 if similarity_fn.name == "bleu" else 1 / 3
+        expected = (0.4 * 1.0 + 0.4 * cross + 0.2 * cross + 0.2 * 1.0) / 2
+        assert avg_bleu_score(samples, similarity_fn) == pytest.approx(expected, abs=1e-12)
+
+    def test_abstention_variants_agree(self, similarity_fn):
+        # "Unanswerable." normalizes to an abstention, so every pair scores 1
+        samples = [ans("Unanswerable.", math.log(0.3)), ans("that is unanswerable", math.log(0.2))]
+        assert avg_bleu_score(samples, similarity_fn) == pytest.approx(0.5, abs=1e-12)
+
     def test_first_occurrence_weight_wins(self):
         samples = [ans("cat", math.log(0.5)), ans("cat", math.log(0.1))]
         assert avg_bleu_score(samples) == pytest.approx(0.5, abs=1e-12)

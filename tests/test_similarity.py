@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selqa import AdapterError, BleuSimilarity, SimilarityFn, answer_similarity, bleu, pairwise_matrix
+from selqa import AdapterError, BleuSimilarity, SimilarityFn, answer_similarity, bleu
 
 tokens = st.lists(st.sampled_from("red apple on table cat dog blue car".split()), max_size=8)
 nonempty_tokens = tokens.filter(lambda t: len(t) > 0)
@@ -65,16 +65,14 @@ class TestAnswerSimilarity:
         assert answer_similarity("unanswerable", "yes", BleuSimilarity()) == 0.0
 
     def test_both_abstentions(self):
-        assert answer_similarity("unanswerable", "Unanswerable.", BleuSimilarity()) == 1.0
+        assert answer_similarity("unanswerable", "unanswerable", BleuSimilarity()) == 1.0
+        assert answer_similarity("that is unanswerable", "unanswerable", BleuSimilarity()) == 1.0
 
     def test_abstention_substring(self):
         assert answer_similarity("that is unanswerable sorry", "red", BleuSimilarity()) == 0.0
 
     def test_identity(self):
         assert answer_similarity("red apple", "red apple", BleuSimilarity()) == 1.0
-
-    def test_normalizes_before_scoring(self):
-        assert answer_similarity("The Red Apple!", "red apple", BleuSimilarity()) == 1.0
 
     def test_out_of_range_similarity_rejected(self):
         with pytest.raises(AdapterError):
@@ -87,29 +85,14 @@ class TestAnswerSimilarity:
     def test_in_range_similarity_passes(self):
         assert answer_similarity("a b", "c d", ConstSimilarity(0.25)) == 0.25
 
-
-class TestPairwiseMatrix:
-    def test_single(self):
-        assert pairwise_matrix(["yes"], BleuSimilarity()) == [[1.0]]
-
-    def test_asymmetric_pair(self):
-        got = pairwise_matrix(["red apple", "apple"], BleuSimilarity())
-        assert got[0][0] == 1.0 and got[1][1] == 1.0
-        assert got[0][1] == pytest.approx(0.5, abs=1e-9)
-        assert got[1][0] == pytest.approx(math.exp(-1.0), abs=1e-9)
-
-    def test_abstention_override(self):
-        got = pairwise_matrix(["yes", "unanswerable"], BleuSimilarity())
-        assert got == [[1.0, 0.0], [0.0, 1.0]]
+    def test_asymmetric_pair_in_both_orders(self):
+        fn = BleuSimilarity()
+        assert answer_similarity("red apple", "apple", fn) == pytest.approx(0.5, abs=1e-9)
+        assert answer_similarity("apple", "red apple", fn) == pytest.approx(math.exp(-1.0), abs=1e-9)
 
     def test_diagonal_all_ones_without_abstentions(self):
-        answers = ["red apple", "blue car", "cat on table"]
-        matrix = pairwise_matrix(answers, BleuSimilarity())
-        assert all(matrix[i][i] == 1.0 for i in range(len(answers)))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pairwise_matrix([], BleuSimilarity())
+        for answer in ["yes", "red apple", "blue car", "cat on table"]:
+            assert answer_similarity(answer, answer, BleuSimilarity()) == 1.0
 
 
 class TestCharMode:

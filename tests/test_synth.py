@@ -4,13 +4,12 @@ import pytest
 
 from selqa import (
     EvalPoint,
-    SynthConfig,
     ece,
-    generate,
     likelihood_score,
     score_all,
     validate_record,
 )
+from selqa.synth import SynthConfig, generate
 from selqa.textnorm import normalize_answer
 
 
