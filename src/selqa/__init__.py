@@ -16,7 +16,6 @@ from .errors import (
     AdapterError,
     DataError,
     DuplicateKeyError,
-    EmptyAnswersError,
     JoinError,
     ParseError,
     RecordValidationError,
@@ -76,7 +75,6 @@ __all__ = [
     "CorrectnessClassifier",
     "DataError",
     "DuplicateKeyError",
-    "EmptyAnswersError",
     "EvalPoint",
     "GoldAnnotation",
     "GoldRecord",

@@ -39,10 +39,6 @@ class RecordValidationError(DataError):
         self.violations = violations
 
 
-class EmptyAnswersError(DataError):
-    """A gold record carries no answers at all."""
-
-
 class DuplicateKeyError(DataError):
     """The same question_id appears twice on one side of a join."""
 

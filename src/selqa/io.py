@@ -18,12 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import (
-    DuplicateKeyError,
-    EmptyAnswersError,
-    ParseError,
-    RecordValidationError,
-)
+from .errors import DuplicateKeyError, ParseError, RecordValidationError
 from .metrics import RiskCoveragePoint, SweepRow
 from .records import (
     CalibrationReport,
@@ -68,13 +63,18 @@ def load_predictions(path: str) -> list[PredictionRecord]:
     """Parse and validate a prediction dump, preserving file order.
 
     Errors carry the offending line number, and each record keeps its line.
+    Lines are decoded one at a time, so invalid UTF-8 is reported at its line.
     """
     records = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            where = f"line {lineno}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(path, where, f"invalid UTF-8: {exc}") from exc
             if not line.strip():
                 continue
-            where = f"line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -162,10 +162,11 @@ def dump_gold(records: Sequence[GoldRecord], path: str) -> None:
 
 def load_gold(path: str) -> list[GoldRecord]:
     """Parse a gold file, deriving answerability flags where absent."""
-    with open(path, encoding="utf-8") as f:
-        data = f.read()
     try:
-        parsed = json.loads(data)
+        with open(path, "rb") as f:
+            parsed = json.loads(f.read().decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(path, f"byte {exc.start}", f"invalid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(path, f"byte {exc.pos}", f"invalid JSON: {exc.msg}") from exc
     if not isinstance(parsed, list):
@@ -175,8 +176,6 @@ def load_gold(path: str) -> list[GoldRecord]:
         where = f"record {i}"
         try:
             records.append(_gold_from_obj(obj))
-        except EmptyAnswersError:
-            raise
         except KeyError as exc:
             raise ParseError(path, where, f"missing field {exc}") from exc
         except (TypeError, ValueError) as exc:
@@ -190,7 +189,7 @@ def _gold_from_obj(obj: dict) -> GoldRecord:
     qid = _expect_str(obj, "question_id")
     answers = obj.get("answers")
     if not isinstance(answers, list) or not answers:
-        raise EmptyAnswersError(f"gold record {qid!r} has no answers")
+        raise ValueError(f"gold record {qid!r} has no answers")
     record_level = obj.get("answerable")
     if record_level is not None and not isinstance(record_level, bool):
         raise ValueError("answerable is not a boolean")
@@ -385,16 +384,11 @@ def _report_markdown(report: CalibrationReport) -> bytes:
 # curve and sweep emission
 
 
-def emit_curve(points: Sequence[RiskCoveragePoint], format: str = "csv") -> bytes:
+def emit_curve(points: Sequence[RiskCoveragePoint]) -> bytes:
     """Plot-ready risk-coverage data; csv columns coverage,accuracy."""
-    if format == "csv":
-        lines = ["coverage,accuracy"]
-        lines += [f"{p.coverage:.4f},{p.accuracy:.4f}" for p in points]
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    if format == "json":
-        payload = [{"coverage": p.coverage, "accuracy": p.accuracy} for p in points]
-        return (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
-    raise ValueError(f"unknown curve format: {format!r}")
+    lines = ["coverage,accuracy"]
+    lines += [f"{p.coverage:.4f},{p.accuracy:.4f}" for p in points]
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def emit_sweep(sweeps: dict[str, list[SweepRow]], format: str = "csv") -> bytes:

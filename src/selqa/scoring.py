@@ -10,12 +10,14 @@ All scores land in [0, 1] and rank "answer" over "abstain":
 * avg-bleu    - likelihood-weighted mean of pairwise similarities over the
   distinct sampled answers; generalizes to any similarity function and
   collapses to the likelihood score when all samples agree.
+
+The sampling scores read one grouping of a record's samples by normalized
+text; score_record builds it once per record, at its first sampling method.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Iterable, Sequence
 
 from .correctness import CorrectnessClassifier
@@ -42,12 +44,26 @@ def likelihood_score(answer: SampledAnswer) -> float:
     return math.exp(math.fsum(answer.logprobs))
 
 
+_Groups = dict[str, list[SampledAnswer]]
+
+
+def _group_samples(samples: Sequence[SampledAnswer], method: str) -> _Groups:
+    """Samples keyed by normalized text, keys in first-occurrence order."""
+    if not samples:
+        raise ValueError(f"{method} needs at least one sample")
+    groups: _Groups = {}
+    for sample in samples:
+        groups.setdefault(normalize_answer(sample.text), []).append(sample)
+    return groups
+
+
 def repetition_score(samples: Sequence[SampledAnswer]) -> float:
     """Relative frequency of the most common normalized sample text."""
-    if not samples:
-        raise ValueError("repetition needs at least one sample")
-    counts = Counter(normalize_answer(s.text) for s in samples)
-    return max(counts.values()) / len(samples)
+    return _repetition(_group_samples(samples, "repetition"))
+
+
+def _repetition(groups: _Groups) -> float:
+    return max(map(len, groups.values())) / sum(map(len, groups.values()))
 
 
 def diversity_score(samples: Sequence[SampledAnswer]) -> float:
@@ -55,10 +71,11 @@ def diversity_score(samples: Sequence[SampledAnswer]) -> float:
 
     Zero when all samples differ; 1 - 1/N when they all agree.
     """
-    if not samples:
-        raise ValueError("diversity needs at least one sample")
-    unique = len({normalize_answer(s.text) for s in samples})
-    return 1.0 - unique / len(samples)
+    return _diversity(_group_samples(samples, "diversity"))
+
+
+def _diversity(groups: _Groups) -> float:
+    return 1.0 - len(groups) / sum(map(len, groups.values()))
 
 
 def avg_bleu_score(samples: Sequence[SampledAnswer], fn: SimilarityFn | None = None) -> float:
@@ -70,26 +87,21 @@ def avg_bleu_score(samples: Sequence[SampledAnswer], fn: SimilarityFn | None = N
     diagonal included, so a unanimous sample set reduces to the likelihood
     score of that answer. A record whose weights sum above 1 is rejected.
     """
-    if not samples:
-        raise ValueError("avg similarity needs at least one sample")
     fn = fn if fn is not None else BleuSimilarity()
-    weights: dict[str, float] = {}
-    for sample in samples:
-        key = normalize_answer(sample.text)
-        if key not in weights:
-            weights[key] = likelihood_score(sample)
+    return _avg_similarity(_group_samples(samples, f"avg-{fn.name}"), fn)
+
+
+def _avg_similarity(groups: _Groups, fn: SimilarityFn) -> float:
+    weights = {key: likelihood_score(group[0]) for key, group in groups.items()}
     # Weights are probabilities of distinct sequences, so a consistent dump
     # keeps their sum at or below 1; beyond float noise the dump lies.
     total = math.fsum(weights.values())
     if total > 1.0 + 1e-9:
         raise ValueError(f"distinct-sample probabilities sum above 1 ({total})")
-    distinct = list(weights)
     # fsum is exact, so the result does not depend on first-occurrence order.
-    terms = [
-        weights[a] * answer_similarity(a, b, fn) for a in distinct for b in distinct
-    ]
+    terms = [w * answer_similarity(a, b, fn) for a, w in weights.items() for b in weights]
     # With similarities in [0, 1] the score is at most the weight sum.
-    return min(math.fsum(terms) / len(distinct), 1.0)
+    return min(math.fsum(terms) / len(weights), 1.0)
 
 
 def trigger_decision(greedy: SampledAnswer) -> bool:
@@ -128,15 +140,18 @@ def score_record(
     """Compute the requested confidence scores for one record."""
     fn = fn if fn is not None else BleuSimilarity()
     scores: dict[str, float] = {}
+    groups = None
     for name in resolve_method_names(methods, fn.name):
         if name == "likelihood":
             scores[name] = likelihood_score(record.greedy)
-        elif name == "repetition":
-            scores[name] = repetition_score(record.samples)
+            continue
+        groups = groups or _group_samples(record.samples, name)
+        if name == "repetition":
+            scores[name] = _repetition(groups)
         elif name == "diversity":
-            scores[name] = diversity_score(record.samples)
+            scores[name] = _diversity(groups)
         else:
-            scores[name] = avg_bleu_score(record.samples, fn)
+            scores[name] = _avg_similarity(groups, fn)
     return scores
 
 
@@ -158,7 +173,6 @@ def score_all(
         )
     if classifiers is None:
         classifiers = (CorrectnessClassifier.exact_match(),)
-    fn = fn if fn is not None else BleuSimilarity()
     triggered = trigger_decision(record.greedy)
     scores = score_record(record, methods, fn)
     correct: dict[str, bool] = {}

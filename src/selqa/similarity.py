@@ -20,8 +20,8 @@ from .records import ABSTENTION_MARKER
 from .textnorm import tokenize
 
 
-def bleu(candidate: Sequence[str], reference: Sequence[str], max_order: int = 4) -> float:
-    """Smoothed sentence-level BLEU of a candidate against one reference.
+def bleu(candidate: Sequence[str], reference: Sequence[str]) -> float:
+    """Smoothed 4-gram sentence-level BLEU of a candidate against one reference.
 
     The effective order is capped at the candidate length, and precisions of
     order >= 2 get add-one smoothing ((matches+1)/(total+1)); p1 stays
@@ -32,13 +32,11 @@ def bleu(candidate: Sequence[str], reference: Sequence[str], max_order: int = 4)
     Any change to this smoothing changes downstream average-similarity
     scores, so it is pinned by fixtures.
     """
-    if max_order < 1:
-        raise ValueError(f"max_order must be >= 1, got {max_order}")
     cand_len = len(candidate)
     ref_len = len(reference)
     if cand_len == 0:
         return 0.0
-    order = min(max_order, cand_len)
+    order = min(4, cand_len)
     precisions = []
     for n in range(1, order + 1):
         cand_counts = _ngram_counts(tuple(candidate), n)

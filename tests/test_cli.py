@@ -115,6 +115,21 @@ class TestEvaluate:
         assert not out.exists()
         assert not list(tmp_path.glob(".selqa-*"))
 
+    @pytest.mark.parametrize("side,data,where", [
+        ("predictions", b'{"question_id":"q1","greedy":{"text":"a","logprobs":[-1]}}\n'
+         b'{"question_id":"q2","greedy":{"text":"b","logprobs":[-1]}}\n'
+         b'{"question_id":"q3","greedy":{"text":"\xff","logprobs":[-1]}}\n', "line 3"),
+        ("gold", b'[\n{"question_id":"q1","answers":[{"answer":"a"}]},\n"\xff"]\n', "byte 52"),
+        ("gold", b'[{"question_id":"q1","answers":[]}]\n', "record 0"),
+    ], ids=["predictions-utf8", "gold-utf8", "gold-no-answers"])
+    def test_bad_input_is_a_data_error(self, tmp_path, capsys, side, data, where):
+        path = tmp_path / "bad"
+        path.write_bytes(data)
+        inputs = {"predictions": GOLDEN_PRED, "gold": GOLDEN_GOLD, side: str(path)}
+        code = run("evaluate", "--predictions", inputs["predictions"], "--gold", inputs["gold"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"data error: {path}: {where}: ")
+
     def test_adapter_backed_methods(self, tmp_path):
         out = tmp_path / "report.json"
         code = run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,

@@ -6,7 +6,6 @@ import pytest
 from selqa import (
     CalibrationReport,
     DuplicateKeyError,
-    EmptyAnswersError,
     GoldAnnotation,
     GoldRecord,
     MethodMetrics,
@@ -77,6 +76,14 @@ class TestPredictionDump:
         with pytest.raises(ParseError, match="greedy"):
             load_predictions(write(tmp_path / "p.jsonl", '{"question_id":"a"}\n'))
 
+    def test_invalid_utf8_names_its_line(self, tmp_path):
+        good = '{"question_id":"%s","greedy":{"text":"x","logprobs":[-1]},"samples":[]}\n'
+        bad = b'{"question_id":"c","greedy":{"text":"\xff","logprobs":[-1]},"samples":[]}\n'
+        path = tmp_path / "p.jsonl"
+        path.write_bytes((good % "a" + good % "b").encode() + bad)
+        with pytest.raises(ParseError, match=r"p\.jsonl: line 3: invalid UTF-8"):
+            load_predictions(str(path))
+
     def test_blank_lines_skipped(self, tmp_path):
         text = '\n{"question_id":"a","greedy":{"text":"x","logprobs":[-1]},"samples":[]}\n\n'
         assert len(load_predictions(write(tmp_path / "p.jsonl", text))) == 1
@@ -141,8 +148,17 @@ class TestGoldFile:
 
     def test_empty_answers_rejected(self, tmp_path):
         data = [{"question_id": "q1", "answers": []}]
-        with pytest.raises(EmptyAnswersError, match="q1"):
+        expected = r"g\.json: record 0: gold record 'q1' has no answers"
+        with pytest.raises(ParseError, match=expected):
             load_gold(write(tmp_path / "g.json", json.dumps(data)))
+
+    def test_invalid_utf8_names_byte_offset(self, tmp_path):
+        data = b'[\n{"question_id": "q1", "answers": [{"answer": "x"}]},\n"\xff"]\n'
+        path = tmp_path / "g.json"
+        path.write_bytes(data)
+        offset = data.index(b"\xff")
+        with pytest.raises(ParseError, match=rf"g\.json: byte {offset}: invalid UTF-8"):
+            load_gold(str(path))
 
     def test_confidence_preserved(self, tmp_path):
         data = [{"question_id": "q1", "answers": [{"answer": "x", "answer_confidence": "maybe"}]}]
@@ -291,10 +307,6 @@ class TestCurveEmission:
             b"100.0000,60.0000\n"
         )
         assert emit_curve(points) == expected
-
-    def test_json_format(self):
-        payload = json.loads(emit_curve([RiskCoveragePoint(50.0, 100.0)], "json"))
-        assert payload == [{"coverage": 50.0, "accuracy": 100.0}]
 
 
 class TestSweepEmission:

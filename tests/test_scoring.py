@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import selqa.scoring
 from selqa import (
+    BUILTIN_METHODS,
     BleuSimilarity,
     CorrectnessClassifier,
     GoldAnnotation,
@@ -21,6 +23,7 @@ from selqa import (
     repetition_score,
     resolve_method_names,
     score_all,
+    score_record,
     trigger_decision,
 )
 from selqa.textnorm import normalize_answer
@@ -136,6 +139,15 @@ class TestAvgBleu:
         samples = [ans(t, math.log(u / len(texts))) for t, u in zip(texts, units)]
         fn = BleuSimilarity(mode=mode)
         assert avg_bleu_score(samples, fn) == brute_avg_bleu(samples, fn)
+        # score_record reads all three sampling scores from one grouping
+        counts = Counter(normalize_answer(t) for t in texts)
+        record = PredictionRecord("q", samples[0], tuple(samples))
+        assert score_record(record, BUILTIN_METHODS, fn) == {
+            "likelihood": likelihood_score(samples[0]),
+            "repetition": max(counts.values()) / len(texts),
+            "diversity": 1.0 - len(counts) / len(texts),
+            "avg-bleu": brute_avg_bleu(samples, fn),
+        }
 
     def test_normalizes_before_scoring(self, similarity_fn):
         # "The Red Apple!" and "red car" share "red" only once normalized:
@@ -174,6 +186,40 @@ class TestAvgBleu:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             avg_bleu_score([])
+
+
+class TestScoreRecord:
+    @pytest.mark.parametrize("methods,sampled", [(BUILTIN_METHODS, True), (["likelihood"], False)])
+    def test_normalizes_each_sample_once(self, monkeypatch, methods, sampled):
+        # likelihood reads only the greedy answer, so alone it normalizes nothing
+        calls = Counter()
+
+        def counting(text):
+            calls[text] += 1
+            return normalize_answer(text)
+
+        monkeypatch.setattr(selqa.scoring, "normalize_answer", counting)
+        samples = tuple(ans(t, math.log(0.1)) for t in ["a", "A.", "b", "a", "c d"])
+        score_record(PredictionRecord("q", ans("a"), samples), methods)
+        assert calls == (Counter(s.text for s in samples) if sampled else Counter())
+
+    def test_weights_are_lazy(self):
+        # a sample without logprobs has no likelihood weight; only avg-bleu needs one
+        record = PredictionRecord("q", ans("cat"), (SampledAnswer("", ()), ans("cat")))
+        scores = score_record(record, ["repetition", "diversity"])
+        assert scores == {"repetition": 0.5, "diversity": 0.0}
+        with pytest.raises(ValueError, match="likelihood needs at least one token logprob"):
+            score_record(record, ["avg-bleu"])
+
+    @pytest.mark.parametrize("methods,first", [
+        (BUILTIN_METHODS, "repetition"),
+        (["diversity", "repetition"], "diversity"),
+        (["likelihood", "avg-bleu", "repetition"], "avg-bleu"),
+    ])
+    def test_empty_samples_error_names_first_sampling_method(self, methods, first):
+        record = PredictionRecord("q", ans("a"), ())
+        with pytest.raises(ValueError, match=f"^{first} needs at least one sample$"):
+            score_record(record, methods)
 
 
 class TestTrigger:
