@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 import random
 
-from selqa import EvalPoint, normalize_answer
+from selqa import EvalPoint
+from selqa.textnorm import normalize_answer
 
 
 def pairwise_auc(points) -> float | None:

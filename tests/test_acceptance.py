@@ -16,18 +16,14 @@ from selqa import (
     EvalPoint,
     SampledAnswer,
     answer_similarity,
-    avg_bleu_score,
     bleu,
     build_report,
-    coverage_at_accuracy,
-    ece,
-    likelihood_score,
-    risk_coverage_curve,
-    roc_auc,
     score_all,
 )
 from selqa.cli import main
 from selqa.io import join, load_gold, load_predictions
+from selqa.metrics import coverage_at_accuracy, ece, risk_coverage_curve, roc_auc
+from selqa.scoring import avg_bleu_score, likelihood_score
 
 from conftest import DATA_DIR
 from oracles import pairwise_auc, prefix_coverage, prefix_curve, random_points

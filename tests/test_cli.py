@@ -217,7 +217,7 @@ class TestSweep:
         # every row must be a point of the risk-coverage curve
         pairs, _ = join(load_predictions(GOLDEN_PRED), load_gold(GOLDEN_GOLD))
         scored = [score_all(p, g, methods=("likelihood",)) for p, g in pairs]
-        from selqa import risk_coverage_curve
+        from selqa.metrics import risk_coverage_curve
 
         points = [
             EvalPoint(s.scores["likelihood"], s.correct["em"], s.question_id)

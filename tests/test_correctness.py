@@ -8,9 +8,8 @@ from selqa import (
     GoldAnnotation,
     GoldRecord,
     answer_similarity,
-    exact_match_correct,
-    similarity_correct,
 )
+from selqa.correctness import exact_match_correct, similarity_correct
 from selqa.textnorm import normalize_answer
 
 

@@ -5,17 +5,14 @@ import pytest
 
 from selqa import (
     CalibrationReport,
-    DuplicateKeyError,
     GoldAnnotation,
     GoldRecord,
     MethodMetrics,
     ParseError,
     PredictionRecord,
-    RecordValidationError,
-    RiskCoveragePoint,
     SampledAnswer,
-    SweepRow,
 )
+from selqa.errors import DuplicateKeyError, RecordValidationError
 from selqa.io import (
     dump_gold,
     dump_predictions,
@@ -28,6 +25,7 @@ from selqa.io import (
     load_predictions,
     parse_report,
 )
+from selqa.metrics import RiskCoveragePoint, SweepRow
 from selqa.synth import SynthConfig, generate
 
 

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from selqa import (
-    EvalPoint,
-    ScoredPrediction,
+from selqa import EvalPoint, ScoredPrediction, build_report
+from selqa.metrics import (
     accuracy_at_trigger,
-    build_report,
     coverage_at_accuracy,
     ece,
     risk_coverage_curve,

@@ -6,8 +6,8 @@ from selqa import (
     PredictionRecord,
     SampledAnswer,
     ScoredPrediction,
-    validate_record,
 )
+from selqa.records import validate_record
 
 
 def make_record(**overrides) -> PredictionRecord:

@@ -13,17 +13,19 @@ from selqa import (
     CorrectnessClassifier,
     GoldAnnotation,
     GoldRecord,
-    JoinError,
     PredictionRecord,
     SampledAnswer,
     answer_similarity,
+    score_all,
+    score_record,
+)
+from selqa.errors import JoinError
+from selqa.scoring import (
     avg_bleu_score,
     diversity_score,
     likelihood_score,
     repetition_score,
     resolve_method_names,
-    score_all,
-    score_record,
     trigger_decision,
 )
 from selqa.textnorm import normalize_answer

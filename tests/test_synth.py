@@ -2,13 +2,10 @@ import math
 
 import pytest
 
-from selqa import (
-    EvalPoint,
-    ece,
-    likelihood_score,
-    score_all,
-    validate_record,
-)
+from selqa import EvalPoint, score_all
+from selqa.metrics import ece
+from selqa.records import validate_record
+from selqa.scoring import likelihood_score
 from selqa.synth import SynthConfig, generate
 from selqa.textnorm import normalize_answer
 
