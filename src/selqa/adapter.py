@@ -7,9 +7,9 @@ Wire protocol, one JSON object per line over stdin/stdout:
     response  {"error": "<message>"}     on failure
 
 Scores must lie in [0, 1]; anything else is rejected with AdapterError rather
-than trusted. An ExternalSimilarity owns one scorer process and sends one
-request at a time, so callers that share it across threads never read each
-other's replies.
+than trusted. ExternalSimilarity owns one scorer process, both of its pipes
+and a lock, and holds the lock for each whole request/response exchange, so
+callers that share it across threads never read each other's replies.
 """
 
 from __future__ import annotations
@@ -23,11 +23,16 @@ from .errors import AdapterError
 from .similarity import SimilarityFn
 
 
-class AdapterConnection:
-    """A single scorer subprocess speaking the line protocol."""
+class ExternalSimilarity(SimilarityFn):
+    """A SimilarityFn backed by one scorer subprocess speaking the line protocol.
 
-    def __init__(self, argv: list[str]) -> None:
-        self.argv = argv
+    The [0, 1] range check happens in answer_similarity, which sees every
+    score the adapter returns.
+    """
+
+    def __init__(self, command: str | list[str], name: str = "adapter") -> None:
+        self.name = name
+        argv = shlex.split(command) if isinstance(command, str) else list(command)
         try:
             self._proc = subprocess.Popen(
                 argv,
@@ -39,19 +44,22 @@ class AdapterConnection:
             )
         except OSError as exc:
             raise AdapterError(f"failed to launch adapter {argv!r}: {exc}") from exc
+        # One request/response exchange at a time on the shared pipes.
+        self._lock = threading.Lock()
 
-    def score(self, a: str, b: str) -> float:
-        request = json.dumps({"a": a, "b": b}, ensure_ascii=False)
-        try:
-            assert self._proc.stdin is not None and self._proc.stdout is not None
-            self._proc.stdin.write(request + "\n")
-            self._proc.stdin.flush()
-            line = self._proc.stdout.readline()
-        except (OSError, ValueError) as exc:
-            raise AdapterError(f"adapter pipe broke: {exc}") from exc
-        if not line:
-            code = self._proc.poll()
-            raise AdapterError(f"adapter closed its output (exit status {code})")
+    def similarity(self, candidate: str, reference: str) -> float:
+        request = json.dumps({"a": candidate, "b": reference}, ensure_ascii=False)
+        with self._lock:
+            try:
+                assert self._proc.stdin is not None and self._proc.stdout is not None
+                self._proc.stdin.write(request + "\n")
+                self._proc.stdin.flush()
+                line = self._proc.stdout.readline()
+            except (OSError, ValueError) as exc:
+                raise AdapterError(f"adapter pipe broke: {exc}") from exc
+            if not line:
+                code = self._proc.poll()
+                raise AdapterError(f"adapter closed its output (exit status {code})")
         try:
             response = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -80,25 +88,3 @@ class AdapterConnection:
             self._proc.wait()
         finally:
             self._proc.stdout.close()
-
-
-class ExternalSimilarity(SimilarityFn):
-    """A SimilarityFn backed by one adapter subprocess.
-
-    The [0, 1] range check happens in answer_similarity, which sees every
-    score the adapter returns.
-    """
-
-    def __init__(self, command: str | list[str], name: str = "adapter") -> None:
-        self.name = name
-        argv = shlex.split(command) if isinstance(command, str) else list(command)
-        self._conn = AdapterConnection(argv)
-        # One request/response exchange at a time on the shared pipes.
-        self._lock = threading.Lock()
-
-    def similarity(self, candidate: str, reference: str) -> float:
-        with self._lock:
-            return self._conn.score(candidate, reference)
-
-    def close(self) -> None:
-        self._conn.close()

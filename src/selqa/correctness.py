@@ -15,26 +15,6 @@ from .similarity import BleuSimilarity, SimilarityFn, answer_similarity
 from .textnorm import normalize_answer
 
 
-def exact_match_correct(prediction: str, gold: GoldRecord) -> bool:
-    """True iff the normalized prediction equals some normalized gold answer."""
-    normalized = normalize_answer(prediction)
-    return any(normalized == normalize_answer(a.answer) for a in gold.annotations)
-
-
-def similarity_correct(
-    prediction: str, gold: GoldRecord, fn: SimilarityFn, threshold: float
-) -> bool:
-    """True iff the best similarity against any gold answer reaches the threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
-    normalized = normalize_answer(prediction)
-    best = max(
-        answer_similarity(normalized, normalize_answer(a.answer), fn)
-        for a in gold.annotations
-    )
-    return best >= threshold
-
-
 @dataclass(frozen=True)
 class CorrectnessClassifier:
     """A named correctness rule: exact match or similarity-above-threshold.
@@ -72,7 +52,16 @@ class CorrectnessClassifier:
         return cls(name=f"adapter-threshold:{fn.name}", threshold=threshold, similarity=fn)
 
     def verdict(self, prediction: str, gold: GoldRecord) -> bool:
+        """True iff the prediction matches some gold answer under this rule.
+
+        Exact match compares normalized texts and stops at the first match;
+        the similarity rule asks whether the best similarity against any
+        gold answer reaches the threshold.
+        """
+        normalized = normalize_answer(prediction)
+        golds = (normalize_answer(a.answer) for a in gold.annotations)
         if self.name == "em":
-            return exact_match_correct(prediction, gold)
+            return normalized in golds
         assert self.similarity is not None
-        return similarity_correct(prediction, gold, self.similarity, self.threshold)
+        best = max(answer_similarity(normalized, g, self.similarity) for g in golds)
+        return best >= self.threshold

@@ -20,23 +20,13 @@ class DataError(SelqaError):
 
 
 class ParseError(DataError):
-    """Unparseable input file content."""
+    """Input file content that cannot be parsed or breaks a record invariant."""
 
     def __init__(self, path: str, location: str, reason: str) -> None:
         super().__init__(f"{path}: {location}: {reason}")
         self.path = path
         self.location = location
         self.reason = reason
-
-
-class RecordValidationError(DataError):
-    """A parsed record violates a domain invariant."""
-
-    def __init__(self, path: str, location: str, violations: list[str]) -> None:
-        super().__init__(f"{path}: {location}: " + "; ".join(violations))
-        self.path = path
-        self.location = location
-        self.violations = violations
 
 
 class DuplicateKeyError(DataError):

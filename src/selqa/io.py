@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .errors import DuplicateKeyError, ParseError, RecordValidationError
+from .errors import DuplicateKeyError, ParseError
 from .metrics import RiskCoveragePoint, SweepRow
 from .records import (
     CalibrationReport,
@@ -34,7 +34,7 @@ from .records import (
 # prediction dumps (JSONL)
 
 
-def prediction_to_obj(record: PredictionRecord) -> dict:
+def _prediction_to_obj(record: PredictionRecord) -> dict:
     obj = {
         "question_id": record.question_id,
         "greedy": _answer_to_obj(record.greedy),
@@ -49,14 +49,11 @@ def _answer_to_obj(answer: SampledAnswer) -> dict:
     return {"text": answer.text, "logprobs": list(answer.logprobs)}
 
 
-def dumps_prediction_line(record: PredictionRecord) -> str:
-    return json.dumps(prediction_to_obj(record), ensure_ascii=False, separators=(",", ":"))
-
-
 def dump_predictions(records: Sequence[PredictionRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         for record in records:
-            f.write(dumps_prediction_line(record) + "\n")
+            obj = _prediction_to_obj(record)
+            f.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
 
 
 def load_predictions(path: str) -> list[PredictionRecord]:
@@ -87,7 +84,7 @@ def load_predictions(path: str) -> list[PredictionRecord]:
                 raise ParseError(path, where, str(exc)) from exc
             violations = validate_record(record)
             if violations:
-                raise RecordValidationError(path, where, violations)
+                raise ParseError(path, where, "; ".join(violations))
             records.append(record)
     return records
 
@@ -139,7 +136,7 @@ def _expect_str(obj: dict, key: str) -> str:
 # gold annotations (JSON array)
 
 
-def gold_to_obj(record: GoldRecord) -> dict:
+def _gold_to_obj(record: GoldRecord) -> dict:
     return {
         "question_id": record.question_id,
         "answers": [
@@ -156,7 +153,7 @@ def gold_to_obj(record: GoldRecord) -> dict:
 
 def dump_gold(records: Sequence[GoldRecord], path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        json.dump([gold_to_obj(r) for r in records], f, ensure_ascii=False, indent=1)
+        json.dump([_gold_to_obj(r) for r in records], f, ensure_ascii=False, indent=1)
         f.write("\n")
 
 
@@ -168,7 +165,9 @@ def load_gold(path: str) -> list[GoldRecord]:
     except UnicodeDecodeError as exc:
         raise ParseError(path, f"byte {exc.start}", f"invalid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(path, f"byte {exc.pos}", f"invalid JSON: {exc.msg}") from exc
+        # exc.pos indexes the decoded characters; the location names a byte.
+        offset = len(exc.doc[: exc.pos].encode("utf-8"))
+        raise ParseError(path, f"byte {offset}", f"invalid JSON: {exc.msg}") from exc
     if not isinstance(parsed, list):
         raise ParseError(path, "top level", "gold file is not a JSON array")
     records = []

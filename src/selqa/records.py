@@ -1,8 +1,8 @@
 """Domain types for prediction dumps, gold annotations, and reports.
 
-Everything here is immutable after construction and safe to share across
-worker threads. Log-probabilities are natural logs, so sequence probabilities
-are exp-of-sums; a logprob of exactly 0.0 (a probability-1 token) is legal.
+Everything here is immutable after construction. Log-probabilities are
+natural logs, so sequence probabilities are exp-of-sums; a logprob of exactly
+0.0 (a probability-1 token) is legal.
 """
 
 from __future__ import annotations

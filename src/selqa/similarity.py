@@ -16,6 +16,7 @@ from collections import Counter
 from functools import lru_cache
 from typing import Sequence
 
+from .errors import AdapterError
 from .records import ABSTENTION_MARKER
 from .textnorm import tokenize
 
@@ -117,8 +118,6 @@ def answer_similarity(candidate: str, reference: str, fn: SimilarityFn) -> float
         return 0.0
     score = fn.similarity(candidate, reference)
     if not (isinstance(score, (int, float)) and math.isfinite(score) and 0.0 <= score <= 1.0):
-        from .errors import AdapterError
-
         raise AdapterError(
             f"similarity {fn.name!r} returned {score!r}, outside the [0, 1] contract"
         )

@@ -121,7 +121,10 @@ class TestEvaluate:
          b'{"question_id":"q3","greedy":{"text":"\xff","logprobs":[-1]}}\n', "line 3"),
         ("gold", b'[\n{"question_id":"q1","answers":[{"answer":"a"}]},\n"\xff"]\n', "byte 52"),
         ("gold", b'[{"question_id":"q1","answers":[]}]\n', "record 0"),
-    ], ids=["predictions-utf8", "gold-utf8", "gold-no-answers"])
+        # the stray "}" is character 54 but byte 58: each letter of "żółć" is two bytes
+        ("gold", '[{"question_id": "żółć", "answers": [{"answer": "x"}]}}]\n'.encode(),
+         "byte 58"),
+    ], ids=["predictions-utf8", "gold-utf8", "gold-no-answers", "gold-json-multibyte"])
     def test_bad_input_is_a_data_error(self, tmp_path, capsys, side, data, where):
         path = tmp_path / "bad"
         path.write_bytes(data)

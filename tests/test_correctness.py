@@ -9,7 +9,6 @@ from selqa import (
     GoldRecord,
     answer_similarity,
 )
-from selqa.correctness import exact_match_correct, similarity_correct
 from selqa.textnorm import normalize_answer
 
 
@@ -17,27 +16,38 @@ def gold(*answers, answerable=True, qid="q"):
     return GoldRecord(qid, tuple(GoldAnnotation(a, answerable) for a in answers))
 
 
+EM = CorrectnessClassifier.exact_match()
+
+
+def bleu_at(threshold):
+    return CorrectnessClassifier.bleu_threshold(threshold)
+
+
+def sim_at(fn, threshold):
+    return CorrectnessClassifier.adapter_threshold(fn, threshold)
+
+
 class TestExactMatch:
     def test_direct_match(self):
-        assert exact_match_correct("System Restore", gold("system restore", "system restore message"))
+        assert EM.verdict("System Restore", gold("system restore", "system restore message"))
 
     def test_article_stripped(self):
-        assert exact_match_correct("A system restore", gold("system restore", "system restore pop up"))
+        assert EM.verdict("A system restore", gold("system restore", "system restore pop up"))
 
     def test_no_match(self):
-        assert not exact_match_correct("blue", gold("right", "second"))
+        assert not EM.verdict("blue", gold("right", "second"))
 
     def test_one_match_suffices(self):
-        assert exact_match_correct("right", gold("left", "left", "right"))
+        assert EM.verdict("right", gold("left", "left", "right"))
 
 
 class TestSimilarityCorrect:
     def test_zero_threshold_accepts_proper_pairs(self):
-        assert similarity_correct("cat", gold("dog"), BleuSimilarity(), 0.0)
+        assert bleu_at(0.0).verdict("cat", gold("dog"))
 
     def test_full_threshold_needs_exact(self):
-        assert similarity_correct("Red Apple!", gold("red apple"), BleuSimilarity(), 1.0)
-        assert not similarity_correct("red apple here", gold("red apple"), BleuSimilarity(), 1.0)
+        assert bleu_at(1.0).verdict("Red Apple!", gold("red apple"))
+        assert not bleu_at(1.0).verdict("red apple here", gold("red apple"))
 
     def test_hand_bleu_verdict(self):
         fn = BleuSimilarity()
@@ -45,30 +55,30 @@ class TestSimilarityCorrect:
         best = answer_similarity(
             normalize_answer("a system restore"), normalize_answer("system restore message"), fn
         )
-        assert similarity_correct("a system restore", g, fn, 0.5) is (best >= 0.5)
+        assert sim_at(fn, 0.5).verdict("a system restore", g) is (best >= 0.5)
 
     def test_normalizes_before_scoring(self, similarity_fn):
-        assert similarity_correct("The Red Apple!", gold("red apple"), similarity_fn, 1.0)
-        assert similarity_correct("red apple", gold("The Red-Apple."), similarity_fn, 1.0)
+        assert sim_at(similarity_fn, 1.0).verdict("The Red Apple!", gold("red apple"))
+        assert sim_at(similarity_fn, 1.0).verdict("red apple", gold("The Red-Apple."))
 
     def test_abstention_variants_match(self, similarity_fn):
         # normalized, "Unanswerable." is an abstention like "unanswerable"
-        assert similarity_correct("Unanswerable.", gold("unanswerable"), similarity_fn, 1.0)
-        assert similarity_correct("unanswerable", gold("Unanswerable."), similarity_fn, 1.0)
+        assert sim_at(similarity_fn, 1.0).verdict("Unanswerable.", gold("unanswerable"))
+        assert sim_at(similarity_fn, 1.0).verdict("unanswerable", gold("Unanswerable."))
 
     def test_max_over_gold(self):
         fn = BleuSimilarity()
         g = gold("completely different", "red apple")
-        assert similarity_correct("red apple", g, fn, 0.9)
+        assert sim_at(fn, 0.9).verdict("red apple", g)
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            similarity_correct("x", gold("x"), BleuSimilarity(), 1.5)
+            sim_at(BleuSimilarity(), 1.5)  # checked once, when the rule is built
 
     def test_abstention_prediction_never_matches_proper_gold(self):
         # the override pins similarity to 0, so any positive threshold fails
-        assert not similarity_correct("unanswerable", gold("red apple"), BleuSimilarity(), 0.01)
-        assert not similarity_correct("unanswerable", gold("red apple"), BleuSimilarity(), 1.0)
+        assert not bleu_at(0.01).verdict("unanswerable", gold("red apple"))
+        assert not bleu_at(1.0).verdict("unanswerable", gold("red apple"))
 
 
 thresholds = st.floats(min_value=0.0, max_value=1.0)
@@ -84,15 +94,15 @@ class TestProperties:
     def test_em_implies_similarity_correct(self, gold_answers):
         g = gold(*gold_answers)
         prediction = gold_answers[0]
-        assert exact_match_correct(prediction, g)
-        assert similarity_correct(prediction, g, BleuSimilarity(), 1.0)
+        assert EM.verdict(prediction, g)
+        assert bleu_at(1.0).verdict(prediction, g)
 
     @given(answers, thresholds, thresholds)
     def test_monotone_in_threshold(self, gold_answers, t1, t2):
         low, high = min(t1, t2), max(t1, t2)
         g = gold(*gold_answers)
-        if similarity_correct("red apple", g, BleuSimilarity(), high):
-            assert similarity_correct("red apple", g, BleuSimilarity(), low)
+        if bleu_at(high).verdict("red apple", g):
+            assert bleu_at(low).verdict("red apple", g)
 
     @given(answers, st.sampled_from(["red apple", "cat"]))
     def test_monotone_in_gold_set(self, gold_answers, extra):

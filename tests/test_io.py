@@ -12,11 +12,10 @@ from selqa import (
     PredictionRecord,
     SampledAnswer,
 )
-from selqa.errors import DuplicateKeyError, RecordValidationError
+from selqa.errors import DuplicateKeyError
 from selqa.io import (
     dump_gold,
     dump_predictions,
-    dumps_prediction_line,
     emit_curve,
     emit_report,
     emit_sweep,
@@ -61,10 +60,27 @@ class TestPredictionDump:
             '{"question_id":"a","greedy":{"text":"x","logprobs":[-1]},"samples":[]}',
             '{"question_id":"b","greedy":{"text":"x","logprobs":[0.3]},"samples":[]}',
         ]
-        with pytest.raises(RecordValidationError) as err:
+        with pytest.raises(ParseError) as err:
             load_predictions(write(tmp_path / "p.jsonl", "\n".join(lines) + "\n"))
         assert "line 2" in str(err.value)
         assert "logprob > 0" in str(err.value)
+
+    def test_validation_message_bytes(self, tmp_path):
+        good = '{"question_id":"a","greedy":{"text":"x","logprobs":[-1]},"samples":[]}'
+        bad = '{"question_id":"b","greedy":{"text":"x","logprobs":[%s]},"samples":[%s]}'
+        sample = '{"text":"y","logprobs":[0.5]}'
+        path = write(tmp_path / "p.jsonl", "\n".join([good, bad % ("-1", sample)]) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_predictions(path)
+        assert str(err.value) == f"{path}: line 2: samples[0]: logprob > 0 at token 0"
+        # every violation of one record is named, in order
+        path = write(tmp_path / "p.jsonl", bad % ("0.3", sample) + "\n")
+        with pytest.raises(ParseError) as err:
+            load_predictions(path)
+        assert str(err.value) == (
+            f"{path}: line 1: greedy: logprob > 0 at token 0; "
+            "samples[0]: logprob > 0 at token 0"
+        )
 
     def test_parse_error_with_line(self, tmp_path):
         with pytest.raises(ParseError, match="line 1"):
@@ -92,21 +108,22 @@ class TestPredictionDump:
         assert [r.line for r in loaded] == [1, 3]
         # the line is bookkeeping: it is not part of equality or of a dump
         assert loaded[0] == loaded[1]
-        assert "line" not in json.loads(dumps_prediction_line(loaded[1]))
+        dump_predictions(loaded[1:], str(tmp_path / "out.jsonl"))
+        assert "line" not in json.loads((tmp_path / "out.jsonl").read_text())
 
     @pytest.mark.parametrize("bad", ["NaN", "-Infinity", "Infinity"])
     def test_nonfinite_logprobs_rejected(self, tmp_path, bad):
         # json.loads happily parses these literals; validation must not
         line = '{"question_id":"a","greedy":{"text":"x","logprobs":[%s]},"samples":[]}\n' % bad
-        with pytest.raises(RecordValidationError):
+        with pytest.raises(ParseError):
             load_predictions(write(tmp_path / "p.jsonl", line))
 
-    def test_fixed_key_order(self):
+    def test_fixed_key_order(self, tmp_path):
         record = PredictionRecord(
             "q", SampledAnswer("x", (-1.0,)), (SampledAnswer("y", (-2.0,)),), {"m": "v"}
         )
-        line = dumps_prediction_line(record)
-        obj = json.loads(line)
+        dump_predictions([record], str(tmp_path / "p.jsonl"))
+        obj = json.loads((tmp_path / "p.jsonl").read_text())
         assert list(obj) == ["question_id", "greedy", "samples", "meta"]
         assert list(obj["greedy"]) == ["text", "logprobs"]
 
