@@ -9,13 +9,9 @@ from selqa.cli import main
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def library_use_section() -> str:
-    text = README.read_text(encoding="utf-8")
-    return text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-
-
 def test_readme_example_runs_and_lists_the_exports(tmp_path, monkeypatch, capsys):
-    section = library_use_section()
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
     (example,) = re.findall(r"```python\n(.*?)```", section, re.S)
     documented = [
         name
