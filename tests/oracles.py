@@ -3,15 +3,19 @@
 These deliberately recompute everything from the definitions: exhaustive
 pairwise comparison for the ranking statistic, a full prefix rescan per
 cut for coverage, a fresh sort and slice per calibration bin, a full
-recount of the retained set per sweep cut, and per-pair normalization from
-raw text for avg-bleu. Apart from normalize_answer and the similarity
-function under test, they share no code with the package.
+recount of the retained set per sweep cut, per-pair normalization from
+raw text for avg-bleu, fresh n-gram Counters per pair for BLEU, and a
+per-character category test for answer normalization. Apart from
+normalize_answer and the similarity function under test, they share no code
+with the package.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import unicodedata
+from collections import Counter
 
 from selqa import EvalPoint
 from selqa.textnorm import normalize_answer
@@ -108,6 +112,46 @@ def brute_avg_bleu(samples, fn) -> float:
                 sim = fn.similarity(norm_a, norm_b)
             terms.append(weight * sim)
     return min(math.fsum(terms) / len(raw), 1.0)
+
+
+def brute_bleu(candidate, reference) -> float:
+    """Smoothed 4-gram sentence BLEU with fresh n-gram Counters for every pair."""
+    cand_len = len(candidate)
+    ref_len = len(reference)
+    if cand_len == 0:
+        return 0.0
+    order = min(4, cand_len)
+    precisions = []
+    for n in range(1, order + 1):
+        cand_counts = _ngram_counts(tuple(candidate), n)
+        ref_counts = _ngram_counts(tuple(reference), n)
+        matches = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+        total = cand_len - n + 1
+        if n == 1:
+            if matches == 0:
+                return 0.0
+            precisions.append(matches / total)
+        else:
+            precisions.append((matches + 1) / (total + 1))
+    geo_mean = math.prod(precisions) ** (1.0 / order)
+    brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
+    return brevity * geo_mean
+
+
+def _ngram_counts(tokens, n: int) -> Counter:
+    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+
+
+def brute_normalize(raw: str) -> str:
+    """Answer normalization with one Unicode category lookup per character."""
+    chars = []
+    for ch in raw.lower():
+        if unicodedata.category(ch).startswith("P"):
+            chars.append(" ")
+        else:
+            chars.append(ch)
+    words = "".join(chars).split()
+    return " ".join(w for w in words if w not in {"a", "an", "the"})
 
 
 def random_points(rng: random.Random, max_n: int = 200, grid=None) -> list[EvalPoint]:

@@ -5,9 +5,31 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selqa import AdapterError, BleuSimilarity, SimilarityFn, answer_similarity, bleu
+from selqa.textnorm import normalize_answer
+
+from oracles import brute_bleu
 
 tokens = st.lists(st.sampled_from("red apple on table cat dog blue car".split()), max_size=8)
 nonempty_tokens = tokens.filter(lambda t: len(t) > 0)
+
+# Repeated n-grams, one- to three-token answers, answers longer than others,
+# and raw texts that normalize to "".
+_ORACLE_TEXTS = [
+    "no no no", "no", "no no", "la la land", "la land", "la la la la land",
+    "red apple", "apple red", "red", "the red apple on the table next to the red car",
+    "red apple on table", "The", "?!", "", "an", "aaa", "abab abab",
+]
+_oracle_answers = st.one_of(
+    st.sampled_from(_ORACLE_TEXTS),
+    st.lists(st.sampled_from(["no", "la", "land", "red", "apple", "the"]), max_size=9)
+    .map(" ".join),
+    st.text(alphabet="ab .", max_size=10),
+).map(normalize_answer)
+_repeating_tokens = st.lists(st.sampled_from(["no", "la", "land", "x y"]), max_size=9)
+
+
+def _oracle_tokens(answer, mode):
+    return answer.split() if mode == "word" else [ch for ch in answer if ch != " "]
 
 
 class TestBleu:
@@ -43,6 +65,20 @@ class TestBleu:
         scores = [bleu(ref[:k], ref) for k in range(1, 6)]
         assert scores == sorted(scores)
         assert all(x < y for x, y in zip(scores, scores[1:]))
+
+
+class TestBleuOracle:
+    """Bitwise agreement with fresh per-pair n-gram Counters (oracles.brute_bleu)."""
+
+    @given(_repeating_tokens, _repeating_tokens)
+    def test_bleu(self, cand, ref):
+        assert bleu(cand, ref) == brute_bleu(cand, ref)
+
+    @pytest.mark.parametrize("mode", ["word", "char"])
+    @given(candidate=_oracle_answers, reference=_oracle_answers)
+    def test_similarity(self, mode, candidate, reference):
+        expected = brute_bleu(_oracle_tokens(candidate, mode), _oracle_tokens(reference, mode))
+        assert BleuSimilarity(mode).similarity(candidate, reference) == expected
 
 
 class ConstSimilarity(SimilarityFn):

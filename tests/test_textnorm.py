@@ -1,10 +1,14 @@
 import string
+import sys
+from array import array
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from selqa.textnorm import normalize_answer, tokenize
+
+from oracles import brute_normalize
 
 
 class TestNormalize:
@@ -35,6 +39,16 @@ class TestNormalize:
         assert out == out.strip()
         assert "  " not in out
         assert out == out.lower()
+
+    def test_every_code_point_matches_oracle(self):
+        # built from UTF-32 bytes, so no per-character str objects are made
+        points = array("I", range(0xD800)) + array("I", range(0xE000, sys.maxunicode + 1))
+        every = points.tobytes().decode(f"utf-32-{sys.byteorder[0]}e")
+        assert normalize_answer(every) == brute_normalize(every)
+
+    @given(st.text())
+    def test_matches_oracle(self, raw):
+        assert normalize_answer(raw) == brute_normalize(raw)
 
     def test_case_article_punctuation_insensitive(self):
         variants = ["the red apple.", "Red Apple", "red, apple", "a red apple!"]
