@@ -26,8 +26,9 @@ from .similarity import SimilarityFn
 class ExternalSimilarity(SimilarityFn):
     """A SimilarityFn backed by one scorer subprocess speaking the line protocol.
 
-    The [0, 1] range check happens in answer_similarity, which sees every
-    score the adapter returns.
+    It inherits the default pairwise, one request per ordered pair. The
+    [0, 1] range check happens in the callers (answer_similarity and the
+    avg-similarity score), which see every score the adapter returns.
     """
 
     def __init__(self, command: str | list[str], name: str = "adapter") -> None:
@@ -71,7 +72,7 @@ class ExternalSimilarity(SimilarityFn):
         if "score" not in response:
             raise AdapterError(f"adapter response has no score: {line!r}")
         score = response["score"]
-        if not isinstance(score, (int, float)):
+        if isinstance(score, bool) or not isinstance(score, (int, float)):
             raise AdapterError(f"adapter score is not a number: {score!r}")
         return float(score)
 

@@ -3,9 +3,13 @@
 Everything here works on normalized text: the callers that hold raw answers
 (scoring and correctness) normalize each answer once, and similarity
 functions score a (candidate, reference) pair of normalized answers into
-[0, 1]. The built-in scorer is smoothed sentence BLEU; external model-backed
-scorers plug in through :mod:`selqa.adapter` and are held to the same output
-contract.
+[0, 1]. ``SimilarityFn.pairwise`` scores every ordered pair of a list of
+answers in one call, the seam a batching scorer overrides; its default asks
+``similarity`` once per pair. The built-in scorer is smoothed sentence BLEU,
+computed from per-answer n-gram tables, so its pairwise scoring tokenizes and
+counts each answer once; it keeps no cache between calls. External
+model-backed scorers plug in through :mod:`selqa.adapter` and are held to
+the same output contract.
 """
 
 from __future__ import annotations
@@ -13,12 +17,16 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import AdapterError
 from .records import ABSTENTION_MARKER
 from .textnorm import tokenize
+
+#: One order's n-grams: a frozenset when none repeats, else their counts.
+_Grams = frozenset | Counter
+#: A token sequence's length and its n-gram tables, orders 1 to min(4, length).
+_Table = tuple[int, tuple[_Grams, ...]]
 
 
 def bleu(candidate: Sequence[str], reference: Sequence[str]) -> float:
@@ -33,30 +41,55 @@ def bleu(candidate: Sequence[str], reference: Sequence[str]) -> float:
     Any change to this smoothing changes downstream average-similarity
     scores, so it is pinned by fixtures.
     """
-    cand_len = len(candidate)
-    ref_len = len(reference)
-    if cand_len == 0:
+    return _bleu_tables(_ngram_table(candidate), _ngram_table(reference))
+
+
+def _bleu_tables(cand: _Table, ref: _Table) -> float:
+    return _bleu(cand[0], ref[0], _overlaps(cand, ref))
+
+
+def _ngram_table(tokens: Sequence[str]) -> _Table:
+    """Count a token sequence's n-grams once, for every pair it will be in."""
+    grams: list[_Grams] = []
+    for n in range(1, min(4, len(tokens)) + 1):
+        ngrams = list(tokens) if n == 1 else list(zip(*(tokens[i:] for i in range(n))))
+        distinct = frozenset(ngrams)
+        grams.append(distinct if len(distinct) == len(ngrams) else Counter(ngrams))
+    return len(tokens), tuple(grams)
+
+
+def _overlaps(a: _Table, b: _Table) -> list[int]:
+    """Clipped n-gram overlap of two tables per order 1-4; symmetric in a and b.
+
+    The overlap of one order is the sum over shared n-grams of the smaller
+    count. A frozenset side holds each n-gram once, so there it is the number
+    of shared n-grams.
+    """
+    overlaps = []
+    for x, y in zip(a[1], b[1]):
+        if type(x) is frozenset:
+            matches = len(x.intersection(y))
+        elif type(y) is frozenset:
+            matches = len(y.intersection(x))
+        else:
+            matches = sum(min(count, y[gram]) for gram, count in x.items() if gram in y)
+        if not matches:
+            break  # every shared (n+1)-gram holds a shared n-gram
+        overlaps.append(matches)
+    return overlaps + [0] * (4 - len(overlaps))
+
+
+def _bleu(cand_len: int, ref_len: int, overlaps: list[int]) -> float:
+    """BLEU of a candidate against a reference from their lengths and overlaps."""
+    if cand_len == 0 or overlaps[0] == 0:
         return 0.0
     order = min(4, cand_len)
-    precisions = []
-    for n in range(1, order + 1):
-        cand_counts = _ngram_counts(tuple(candidate), n)
-        ref_counts = _ngram_counts(tuple(reference), n)
-        matches = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
-        total = cand_len - n + 1
-        if n == 1:
-            if matches == 0:
-                return 0.0
-            precisions.append(matches / total)
-        else:
-            precisions.append((matches + 1) / (total + 1))
+    # p_n = matches / total, smoothed from n = 2 on; total = cand_len - n + 1
+    precisions = [overlaps[0] / cand_len]
+    precisions += [(overlaps[n - 1] + 1) / (cand_len - n + 2) for n in range(2, order + 1)]
     geo_mean = math.prod(precisions) ** (1.0 / order)
     brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
     return brevity * geo_mean
-
-
-def _ngram_counts(tokens: tuple[str, ...], n: int) -> Counter:
-    return Counter(tokens[i : i + n] for i in range(len(tokens) - n + 1))
 
 
 class SimilarityFn(ABC):
@@ -71,6 +104,15 @@ class SimilarityFn(ABC):
     @abstractmethod
     def similarity(self, candidate: str, reference: str) -> float:
         """Score a normalized candidate against a normalized reference."""
+
+    def pairwise(self, answers: Sequence[str]) -> list[list[float]]:
+        """Raw similarity of every ordered pair of normalized answers, row-major.
+
+        Row i holds similarity(answers[i], answers[j]) for every j, diagonal
+        included. The default asks similarity once per pair in that order;
+        a scorer that can batch overrides it.
+        """
+        return [[self.similarity(a, b) for b in answers] for a in answers]
 
     def close(self) -> None:
         """Release any held resources (no-op for pure scorers)."""
@@ -93,12 +135,23 @@ class BleuSimilarity(SimilarityFn):
         self.mode = mode
 
     def similarity(self, candidate: str, reference: str) -> float:
-        return _bleu_text(candidate, reference, self.mode)
+        return _bleu_tables(self._table(candidate), self._table(reference))
 
+    def pairwise(self, answers: Sequence[str]) -> list[list[float]]:
+        # Each answer is tokenized and counted once; each unordered pair's
+        # overlaps are counted once and serve both of its directions.
+        tables = [self._table(answer) for answer in answers]
+        matrix = [[0.0] * len(tables) for _ in tables]
+        for i, a in enumerate(tables):
+            for j in range(i, len(tables)):
+                b = tables[j]
+                overlaps = _overlaps(a, b)
+                matrix[i][j] = _bleu(a[0], b[0], overlaps)
+                matrix[j][i] = _bleu(b[0], a[0], overlaps)
+        return matrix
 
-@lru_cache(maxsize=1 << 16)
-def _bleu_text(candidate: str, reference: str, mode: str) -> float:
-    return bleu(tokenize(candidate, mode), tokenize(reference, mode))
+    def _table(self, answer: str) -> _Table:
+        return _ngram_table(tokenize(answer, self.mode))
 
 
 def answer_similarity(candidate: str, reference: str, fn: SimilarityFn) -> float:
@@ -116,9 +169,15 @@ def answer_similarity(candidate: str, reference: str, fn: SimilarityFn) -> float
         return 1.0
     if cand_abstains or ref_abstains:
         return 0.0
-    score = fn.similarity(candidate, reference)
-    if not (isinstance(score, (int, float)) and math.isfinite(score) and 0.0 <= score <= 1.0):
-        raise AdapterError(
-            f"similarity {fn.name!r} returned {score!r}, outside the [0, 1] contract"
-        )
-    return float(score)
+    return checked_score(fn.similarity(candidate, reference), fn)
+
+
+def checked_score(score: object, fn: SimilarityFn) -> float:
+    """A similarity score as a float, or AdapterError unless it is a real in [0, 1].
+
+    bool is rejected although it subclasses int: True is not a score of 1.
+    NaN and infinities fail the range test.
+    """
+    if isinstance(score, (int, float)) and not isinstance(score, bool) and 0.0 <= score <= 1.0:
+        return float(score)
+    raise AdapterError(f"similarity {fn.name!r} returned {score!r}, outside the [0, 1] contract")

@@ -13,16 +13,26 @@ import unicodedata
 _ARTICLES = frozenset({"a", "an", "the"})
 
 
+class _PunctuationToSpace(dict):
+    """str.translate table: any Unicode punctuation (Pd, Ps, Po, ...) to a space.
+
+    Filled on first sight of each code point. Other code points map to their
+    own ordinal, which translate reads as "keep the character" and which
+    costs no extra object beyond the key.
+    """
+
+    def __missing__(self, code: int) -> int:
+        value = ord(" ") if unicodedata.category(chr(code)).startswith("P") else code
+        self[code] = value
+        return value
+
+
+_PUNCTUATION_TO_SPACE = _PunctuationToSpace()
+
+
 def normalize_answer(raw: str) -> str:
     """Normalize a raw answer string; idempotent."""
-    chars = []
-    for ch in raw.lower():
-        # Any Unicode punctuation class (Pd, Ps, Po, ...) becomes a space.
-        if unicodedata.category(ch).startswith("P"):
-            chars.append(" ")
-        else:
-            chars.append(ch)
-    words = "".join(chars).split()
+    words = raw.lower().translate(_PUNCTUATION_TO_SPACE).split()
     return " ".join(w for w in words if w not in _ARTICLES)
 
 

@@ -7,6 +7,7 @@ Speaks the line protocol: reads {"a": ..., "b": ...} per line, answers
     em          1.0 when the two strings are equal, else 0.0
     jaccard     word-set Jaccard overlap
     const:<x>   always <x> (floats outside [0, 1] test the range check)
+    json:<v>    always the JSON value <v> as the score (e.g. true)
     error       always {"error": "..."}
     garbage     non-JSON reply
     die         exit before answering the first request
@@ -43,6 +44,8 @@ def main() -> int:
             score = len(wa & wb) / len(wa | wb) if wa | wb else 0.0
         elif mode.startswith("const:"):
             score = float(mode.split(":", 1)[1])
+        elif mode.startswith("json:"):
+            score = json.loads(mode.split(":", 1)[1])
         else:
             raise SystemExit(f"unknown mode {mode!r}")
         sys.stdout.write(json.dumps({"score": score}) + "\n")

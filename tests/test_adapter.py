@@ -27,6 +27,12 @@ class TestExternalSimilarity:
             with pytest.raises(AdapterError, match=r"\[0, 1\]"):
                 answer_similarity("a", "b", fn)
 
+    @pytest.mark.parametrize("literal", ["true", "false", '"1"', "null"])
+    def test_non_number_score_rejected(self, literal):
+        with ExternalSimilarity(adapter_cmd(f"json:{literal}"), name="bad") as fn:
+            with pytest.raises(AdapterError, match="not a number"):
+                fn.similarity("a", "b")
+
     def test_reported_error_surfaces(self):
         with ExternalSimilarity(adapter_cmd("error"), name="boom") as fn:
             with pytest.raises(AdapterError, match="scorer exploded"):

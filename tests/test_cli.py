@@ -151,6 +151,14 @@ class TestEvaluate:
         assert code == 3
         assert "adapter" in capsys.readouterr().err
 
+    def test_boolean_adapter_score_is_an_adapter_error(self, capsys):
+        # a JSON true is not the score 1.0
+        code = run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
+                   "--adapter-cmd", " ".join(adapter_cmd("json:true")),
+                   "--methods", "avg-bleu")
+        assert code == 3
+        assert "adapter score is not a number: True" in capsys.readouterr().err
+
 
 class TestScore:
     def test_scores_without_gold(self, tmp_path):

@@ -15,11 +15,13 @@ from selqa import (
     GoldRecord,
     PredictionRecord,
     SampledAnswer,
+    SimilarityFn,
     answer_similarity,
     score_all,
     score_record,
 )
-from selqa.errors import JoinError
+from selqa.adapter import ExternalSimilarity
+from selqa.errors import AdapterError, JoinError
 from selqa.scoring import (
     avg_bleu_score,
     diversity_score,
@@ -30,7 +32,7 @@ from selqa.scoring import (
 )
 from selqa.textnorm import normalize_answer
 
-from conftest import ans
+from conftest import adapter_cmd, ans
 from oracles import brute_avg_bleu
 
 # Abstentions, case and punctuation variants, paraphrases, and texts that
@@ -44,6 +46,28 @@ _VARIANT_TEXTS = [
 _sample_texts = st.one_of(
     st.sampled_from(_VARIANT_TEXTS), st.text(alphabet="ab .!-A", max_size=8)
 )
+
+
+class CountingAdapter(ExternalSimilarity):
+    """The subprocess adapter, recording each pair it sends."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.calls = []
+
+    def similarity(self, candidate, reference):
+        self.calls.append((candidate, reference))
+        return super().similarity(candidate, reference)
+
+
+class JaccardSimilarity(SimilarityFn):
+    """In-process word-set Jaccard, as tests/adapters/line_scorer.py computes it."""
+
+    name = "jaccard"
+
+    def similarity(self, candidate, reference):
+        wa, wb = set(candidate.split()), set(reference.split())
+        return len(wa & wb) / len(wa | wb) if wa | wb else 0.0
 
 
 class TestLikelihood:
@@ -163,6 +187,27 @@ class TestAvgBleu:
         # "Unanswerable." normalizes to an abstention, so every pair scores 1
         samples = [ans("Unanswerable.", math.log(0.3)), ans("that is unanswerable", math.log(0.2))]
         assert avg_bleu_score(samples, similarity_fn) == pytest.approx(0.5, abs=1e-12)
+
+    def test_one_adapter_call_per_ordered_pair_of_proper_answers(self):
+        # Only proper distinct answers reach the adapter, each ordered pair
+        # once, diagonal included: 3 proper answers here, so 9 round trips.
+        texts = ["red apple", "Red Apple!", "unanswerable", "apple", "that is unanswerable",
+                 "The", "apple", "?!"]
+        samples = [ans(t, math.log(0.1)) for t in texts]
+        with CountingAdapter(adapter_cmd("jaccard"), name="jaccard") as fn:
+            score = avg_bleu_score(samples, fn)
+        proper = ["red apple", "apple", ""]
+        assert fn.calls == [(a, b) for a in proper for b in proper]
+        assert score == brute_avg_bleu(samples, JaccardSimilarity())
+
+    @pytest.mark.parametrize("matrix", [[[1.0]], [[1.0, 0.5], [0.5]], [[1.0, True], [0.5, 1.0]]])
+    def test_pairwise_result_is_checked(self, matrix):
+        class Fixed(JaccardSimilarity):
+            def pairwise(self, answers):
+                return matrix
+
+        with pytest.raises(AdapterError, match="'jaccard'"):
+            avg_bleu_score([ans("red apple", math.log(0.4)), ans("cat", math.log(0.2))], Fixed())
 
     def test_first_occurrence_weight_wins(self):
         samples = [ans("cat", math.log(0.5)), ans("cat", math.log(0.1))]

@@ -80,6 +80,40 @@ class TestBleuOracle:
         expected = brute_bleu(_oracle_tokens(candidate, mode), _oracle_tokens(reference, mode))
         assert BleuSimilarity(mode).similarity(candidate, reference) == expected
 
+    @pytest.mark.parametrize("mode", ["word", "char"])
+    @given(answers=st.lists(_oracle_answers, max_size=6))
+    def test_pairwise(self, mode, answers):
+        tokens = [_oracle_tokens(answer, mode) for answer in answers]
+        expected = [[brute_bleu(cand, ref) for ref in tokens] for cand in tokens]
+        assert BleuSimilarity(mode).pairwise(answers) == expected
+
+
+class CountingSimilarity(SimilarityFn):
+    """Records every similarity call; scores by candidate length."""
+
+    name = "counting"
+
+    def __init__(self):
+        self.calls = []
+
+    def similarity(self, candidate, reference):
+        self.calls.append((candidate, reference))
+        return 1.0 / (1 + len(candidate))
+
+
+class TestPairwiseDefault:
+    def test_one_call_per_ordered_pair_row_major(self):
+        fn = CountingSimilarity()
+        answers = ["red apple", "", "cat", "red apple"]
+        matrix = fn.pairwise(answers)
+        assert fn.calls == [(a, b) for a in answers for b in answers]
+        assert matrix == [[1.0 / (1 + len(a))] * len(answers) for a in answers]
+
+    def test_no_answers_no_calls(self):
+        fn = CountingSimilarity()
+        assert fn.pairwise([]) == []
+        assert fn.calls == []
+
 
 class ConstSimilarity(SimilarityFn):
     name = "const"
@@ -113,6 +147,12 @@ class TestAnswerSimilarity:
             answer_similarity("a", "b", ConstSimilarity(-0.1))
         with pytest.raises(AdapterError):
             answer_similarity("a", "b", ConstSimilarity(float("nan")))
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None])
+    def test_non_number_similarity_rejected(self, value):
+        # bool is an int subclass, but True is not a similarity of 1.0
+        with pytest.raises(AdapterError, match=r"\[0, 1\] contract"):
+            answer_similarity("a", "b", ConstSimilarity(value))
 
     def test_in_range_similarity_passes(self):
         assert answer_similarity("a b", "c d", ConstSimilarity(0.25)) == 0.25
