@@ -59,11 +59,12 @@ def _ngram_table(tokens: Sequence[str]) -> _Table:
 
 
 def _overlaps(a: _Table, b: _Table) -> list[int]:
-    """Clipped n-gram overlap of two tables per order 1-4; symmetric in a and b.
+    """Clipped n-gram overlaps of two tables, from order 1 up to the first zero.
 
-    The overlap of one order is the sum over shared n-grams of the smaller
-    count. A frozenset side holds each n-gram once, so there it is the number
-    of shared n-grams.
+    Symmetric in a and b. The overlap of one order is the sum over shared
+    n-grams of the smaller count; a frozenset side holds each n-gram once, so
+    there it is the number of shared n-grams. Orders past the list's end
+    overlap 0: every shared (n+1)-gram holds a shared n-gram.
     """
     overlaps = []
     for x, y in zip(a[1], b[1]):
@@ -74,20 +75,23 @@ def _overlaps(a: _Table, b: _Table) -> list[int]:
         else:
             matches = sum(min(count, y[gram]) for gram, count in x.items() if gram in y)
         if not matches:
-            break  # every shared (n+1)-gram holds a shared n-gram
+            break
         overlaps.append(matches)
-    return overlaps + [0] * (4 - len(overlaps))
+    return overlaps
 
 
 def _bleu(cand_len: int, ref_len: int, overlaps: list[int]) -> float:
     """BLEU of a candidate against a reference from their lengths and overlaps."""
-    if cand_len == 0 or overlaps[0] == 0:
+    if cand_len == 0 or not overlaps:
         return 0.0
     order = min(4, cand_len)
-    # p_n = matches / total, smoothed from n = 2 on; total = cand_len - n + 1
-    precisions = [overlaps[0] / cand_len]
-    precisions += [(overlaps[n - 1] + 1) / (cand_len - n + 2) for n in range(2, order + 1)]
-    geo_mean = math.prod(precisions) ** (1.0 / order)
+    # The product of p_n = matches / total, smoothed from n = 2 on, where
+    # total = cand_len - n + 1; left to right, as math.prod would take it.
+    product = overlaps[0] / cand_len
+    for n in range(2, order + 1):
+        matches = overlaps[n - 1] if n <= len(overlaps) else 0
+        product *= (matches + 1) / (cand_len - n + 2)
+    geo_mean = product ** (1.0 / order)
     brevity = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
     return brevity * geo_mean
 
