@@ -56,12 +56,15 @@ class CorrectnessClassifier:
 
         Exact match compares normalized texts and stops at the first match;
         the similarity rule asks whether the best similarity against any
-        gold answer reaches the threshold.
+        gold answer reaches the threshold, scoring each distinct normalized
+        gold answer once.
         """
         normalized = normalize_answer(prediction)
         golds = (normalize_answer(a.answer) for a in gold.annotations)
         if self.name == "em":
             return normalized in golds
         assert self.similarity is not None
-        best = max(answer_similarity(normalized, g, self.similarity) for g in golds)
+        best = max(
+            answer_similarity(normalized, g, self.similarity) for g in dict.fromkeys(golds)
+        )
         return best >= self.threshold

@@ -71,6 +71,19 @@ class TestSimilarityCorrect:
         g = gold("completely different", "red apple")
         assert sim_at(fn, 0.9).verdict("red apple", g)
 
+    def test_each_distinct_normalized_gold_scored_once(self):
+        class Counting(BleuSimilarity):
+            calls = []
+
+            def similarity(self, candidate, reference):
+                self.calls.append((candidate, reference))
+                return super().similarity(candidate, reference)
+
+        fn = Counting()
+        g = gold("Red apple", "red apple", "The red apple.", "apple", "red apple")
+        assert not sim_at(fn, 0.9).verdict("red car", g)
+        assert fn.calls == [("red car", "red apple"), ("red car", "apple")]
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             sim_at(BleuSimilarity(), 1.5)  # checked once, when the rule is built
