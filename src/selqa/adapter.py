@@ -8,27 +8,41 @@ Wire protocol, one JSON object per line over stdin/stdout:
 
 Scores must lie in [0, 1]; anything else is rejected with AdapterError rather
 than trusted. ExternalSimilarity owns one scorer process, both of its pipes
-and a lock, and holds the lock for each whole request/response exchange, so
-callers that share it across threads never read each other's replies.
+and a lock, and holds the lock for each whole exchange, so callers that share
+it across threads never read each other's replies.
+
+An exchange writes all of its requests before it has read every reply, so a
+scorer sees requests pipelined and must answer each line with one line, in
+order. ``pairwise`` also keeps every score it has received in a run-wide
+table and never sends a pair twice, so a scorer must be a function of (a, b).
 """
 
 from __future__ import annotations
 
 import json
+import os
+import selectors
 import shlex
 import subprocess
 import threading
+from typing import Sequence
 
 from .errors import AdapterError
 from .similarity import SimilarityFn
+
+#: Most (a, b) scores the pair table holds; it is cleared whole when a call
+#: could take it past this. Full, it holds about 9 MiB when each record's
+#: answers are new ones, strings included.
+_TABLE_CAP = 2**17
 
 
 class ExternalSimilarity(SimilarityFn):
     """A SimilarityFn backed by one scorer subprocess speaking the line protocol.
 
-    It inherits the default pairwise, one request per ordered pair. The
-    [0, 1] range check happens in the callers (answer_similarity and the
-    avg-similarity score), which see every score the adapter returns.
+    similarity sends its one pair; pairwise sends the pairs its table lacks
+    as one pipelined exchange. The [0, 1] range check happens in the callers
+    (answer_similarity and the avg-similarity score), which see every score
+    the adapter returns.
     """
 
     def __init__(self, command: str | list[str], name: str = "adapter") -> None:
@@ -36,45 +50,118 @@ class ExternalSimilarity(SimilarityFn):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
         try:
             self._proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
-                bufsize=1,  # line buffered
+                argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
             )
         except OSError as exc:
             raise AdapterError(f"failed to launch adapter {argv!r}: {exc}") from exc
-        # One request/response exchange at a time on the shared pipes.
+        # Writes never block, so a full stdin pipe cannot stall the reads.
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        self._unread = bytearray()  # reply bytes past the last complete line
+        # One exchange at a time on the shared pipes and the pair table.
         self._lock = threading.Lock()
+        self._table: dict[str, dict[str, float]] = {}
+        self._tabled = 0
 
     def similarity(self, candidate: str, reference: str) -> float:
-        request = json.dumps({"a": candidate, "b": reference}, ensure_ascii=False)
         with self._lock:
-            try:
-                assert self._proc.stdin is not None and self._proc.stdout is not None
-                self._proc.stdin.write(request + "\n")
-                self._proc.stdin.flush()
-                line = self._proc.stdout.readline()
-            except (OSError, ValueError) as exc:
-                raise AdapterError(f"adapter pipe broke: {exc}") from exc
-            if not line:
-                code = self._proc.poll()
-                raise AdapterError(f"adapter closed its output (exit status {code})")
+            return self._exchange([(candidate, reference)])[0]
+
+    def pairwise(self, answers: Sequence[str]) -> list[list[float]]:
+        with self._lock:
+            if self._tabled + len(answers) ** 2 > _TABLE_CAP:
+                self._table.clear()
+                self._tabled = 0
+            table = self._table
+            missing: dict[tuple[str, str], None] = {}
+            for a in answers:
+                row = table.get(a, {})
+                for b in answers:
+                    if b not in row:
+                        missing[a, b] = None
+            if missing:
+                for (a, b), score in zip(missing, self._exchange(list(missing))):
+                    table.setdefault(a, {})[b] = score
+                self._tabled += len(missing)
+            return [[row[b] for b in answers] for row in map(table.__getitem__, answers)]
+
+    def _exchange(self, pairs: list[tuple[str, str]]) -> list[float]:
+        """Send one request per pair and parse the replies, in request order."""
         try:
-            response = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise AdapterError(f"adapter sent invalid JSON: {line!r}") from exc
-        if not isinstance(response, dict):
-            raise AdapterError(f"adapter response is not an object: {line!r}")
-        if "error" in response:
-            raise AdapterError(f"adapter reported: {response['error']}")
-        if "score" not in response:
-            raise AdapterError(f"adapter response has no score: {line!r}")
-        score = response["score"]
-        if isinstance(score, bool) or not isinstance(score, (int, float)):
-            raise AdapterError(f"adapter score is not a number: {score!r}")
-        return float(score)
+            payload = "".join(
+                json.dumps({"a": a, "b": b}, ensure_ascii=False) + "\n" for a, b in pairs
+            ).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise AdapterError(f"adapter pipe broke: {exc}") from exc
+        lines = self._transfer(payload, len(pairs))
+        scores = []
+        for raw in lines:
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise AdapterError(f"adapter pipe broke: {exc}") from exc
+            scores.append(_parse_reply(line))
+        if len(scores) < len(pairs):
+            code = self._proc.poll()
+            raise AdapterError(f"adapter closed its output (exit status {code})")
+        return scores
+
+    def _transfer(self, payload: bytes, count: int) -> list[bytes]:
+        """Write the payload and read up to count reply lines, neither blocking the other.
+
+        What the stdin pipe does not take at once goes out as the selector
+        finds room, while replies are read as they come, so a scorer blocked
+        on a full stdout pipe never stalls the writes. Fewer than count lines
+        come back only when the scorer closes its output; a trailing line
+        without its newline then counts as a reply.
+        """
+        lines: list[bytes] = []
+        try:
+            pending = self._write(memoryview(payload))
+            if pending:
+                with selectors.DefaultSelector() as selector:
+                    selector.register(self._proc.stdin, selectors.EVENT_WRITE)
+                    selector.register(self._proc.stdout, selectors.EVENT_READ)
+                    while pending:
+                        for key, _ in selector.select():
+                            if key.fileobj is self._proc.stdin:
+                                pending = self._write(pending)
+                            elif not self._read(lines, count):
+                                return lines
+            while len(lines) < count and self._read(lines, count):
+                pass
+            return lines
+        except (OSError, ValueError) as exc:
+            raise AdapterError(f"adapter pipe broke: {exc}") from exc
+
+    def _write(self, pending: memoryview) -> memoryview:
+        """Write what the stdin pipe takes now and return the rest.
+
+        Nothing is left once the scorer stops reading: its output says why.
+        """
+        try:
+            return pending[os.write(self._proc.stdin.fileno(), pending):]
+        except BlockingIOError:
+            return pending
+        except BrokenPipeError:
+            return pending[:0]
+
+    def _read(self, lines: list[bytes], count: int) -> bool:
+        """Read one chunk of replies, moving whole lines to lines up to count.
+
+        False once the scorer has closed its output.
+        """
+        chunk = os.read(self._proc.stdout.fileno(), 1 << 16)
+        unread = self._unread
+        if not chunk:
+            if unread and len(lines) < count:
+                lines.append(bytes(unread))
+                unread.clear()
+            return False
+        unread += chunk
+        while len(lines) < count and (end := unread.find(b"\n")) >= 0:
+            lines.append(bytes(unread[:end + 1]))
+            del unread[:end + 1]
+        return True
 
     def close(self) -> None:
         """Close both pipes and reap the scorer, killing it if it lingers."""
@@ -89,3 +176,21 @@ class ExternalSimilarity(SimilarityFn):
             self._proc.wait()
         finally:
             self._proc.stdout.close()
+
+
+def _parse_reply(line: str) -> float:
+    """The score in one reply line, or AdapterError naming what is wrong."""
+    try:
+        response = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise AdapterError(f"adapter sent invalid JSON: {line!r}") from exc
+    if not isinstance(response, dict):
+        raise AdapterError(f"adapter response is not an object: {line!r}")
+    if "error" in response:
+        raise AdapterError(f"adapter reported: {response['error']}")
+    if "score" not in response:
+        raise AdapterError(f"adapter response has no score: {line!r}")
+    score = response["score"]
+    if isinstance(score, bool) or not isinstance(score, (int, float)):
+        raise AdapterError(f"adapter score is not a number: {score!r}")
+    return float(score)

@@ -13,8 +13,9 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 ADAPTER_SCRIPT = Path(__file__).parent / "adapters" / "line_scorer.py"
 
 
-def adapter_cmd(mode: str = "em") -> list[str]:
-    return [sys.executable, str(ADAPTER_SCRIPT), mode]
+def adapter_cmd(mode: str = "em", *extra: object) -> list[str]:
+    """Launch line_scorer.py in a mode; extra arguments (a request log) follow."""
+    return [sys.executable, str(ADAPTER_SCRIPT), mode, *map(str, extra)]
 
 
 def run_python(args: list[str], **kwargs) -> subprocess.CompletedProcess:

@@ -1,12 +1,19 @@
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import pytest
 
+import selqa.adapter
 from selqa import AdapterError, answer_similarity
 from selqa.adapter import ExternalSimilarity
 
-from conftest import adapter_cmd
+from conftest import DATA_DIR, adapter_cmd, run_python
+
+
+def jaccard(a, b):
+    wa, wb = set(a.split()), set(b.split())
+    return len(wa & wb) / len(wa | wb) if wa | wb else 0.0
 
 
 class TestExternalSimilarity:
@@ -48,6 +55,56 @@ class TestExternalSimilarity:
             with pytest.raises(AdapterError, match="closed its output"):
                 fn.similarity("a", "b")
 
+    def test_pairwise_pipelines_past_full_pipes(self):
+        # 576 requests of about 4 KiB and replies of 2 KiB: both directions
+        # exceed 1 MiB, far past a pipe's capacity, so an exchange that let
+        # either pipe block the other would deadlock here.
+        answers = [" ".join(f"w{i}x{j}" for j in range(i % 3, 400, 1 + i % 3))
+                   for i in range(24)]
+        requests = sum(len(json.dumps({"a": a, "b": b})) for a in answers for b in answers)
+        assert requests > 2**20 and 2048 * len(answers) ** 2 > 2**20
+        fn = ExternalSimilarity(adapter_cmd("pad:2048"), name="pad")
+        executor = ThreadPoolExecutor(max_workers=1)
+        try:
+            future = executor.submit(fn.pairwise, answers)
+            _, pending = wait([future], timeout=60)
+        finally:
+            fn.close()
+            executor.shutdown()
+        assert not pending
+        assert future.result() == [[jaccard(a, b) for b in answers] for a in answers]
+
+    def test_pair_table_is_cleared_whole_when_full(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(selqa.adapter, "_TABLE_CAP", 12)
+        log = tmp_path / "requests.jsonl"
+        with ExternalSimilarity(adapter_cmd("jaccard", log), name="jac") as fn:
+            fn.pairwise(["a", "b", "c"])  # 9 pairs tabled
+            fn.pairwise(["a", "b"])  # 9 + 4 > 12: cleared, all 4 sent again
+            assert fn.pairwise(["b", "a"]) == [[1.0, 0.0], [0.0, 1.0]]  # all 4 known
+        assert len(log.read_text().splitlines()) == 9 + 4
+
+    @pytest.mark.parametrize("mode, message", [
+        ("error-after:4", "adapter reported: scorer exploded"),
+        ("garbage-after:4", "adapter sent invalid JSON: 'not json at all"),
+        ("die-after:4", r"adapter closed its output \(exit status (7|None)\)"),
+    ])
+    def test_fault_in_the_middle_of_a_batch(self, mode, message):
+        # the first four replies are good; the fifth of nine pairs fails
+        with ExternalSimilarity(adapter_cmd(mode), name="bad") as fn:
+            with pytest.raises(AdapterError, match=message):
+                fn.pairwise(["red apple", "apple", "red car"])
+
+    @pytest.mark.parametrize("mode", ["error-after:2", "garbage-after:2", "die-after:2"])
+    def test_fault_in_a_batch_exits_3_through_the_cli(self, mode):
+        scorer = " ".join(adapter_cmd(mode))
+        proc = run_python(["-X", "dev", "-m", "selqa.cli", "evaluate",
+                           "--predictions", str(DATA_DIR / "golden_predictions.jsonl"),
+                           "--gold", str(DATA_DIR / "golden_gold.json"),
+                           "--adapter-cmd", scorer, "--methods", "avg-bleu"], timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("adapter error: adapter ")
+        assert "ResourceWarning" not in proc.stderr
+
     def test_launch_failure(self):
         with pytest.raises(AdapterError, match="failed to launch"):
             ExternalSimilarity(["/nonexistent/scorer-binary"], name="ghost")
@@ -73,6 +130,27 @@ class TestAdapterPool:
         assert not pending
         results = [f.result() for f in futures]
         assert results == [pytest.approx(1 / (1 + i % 5)) for i in range(40)]
+
+    def test_parallel_pairwise_consistent(self):
+        # Threads mixing pairwise batches and single pairs on one scorer:
+        # each batch must get its own replies, in order.
+        batches = [[f"shared w{i % 7}", "shared", f"w{i % 7} other"] for i in range(24)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        fn = ExternalSimilarity(adapter_cmd("jaccard"), name="jac")
+        executor = ThreadPoolExecutor(max_workers=8)
+        try:
+            futures = [executor.submit(fn.pairwise, b) for b in batches]
+            futures += [executor.submit(fn.similarity, b[0], b[2]) for b in batches]
+            _, pending = wait(futures, timeout=60)
+        finally:
+            fn.close()
+            executor.shutdown()
+            sys.setswitchinterval(interval)
+        assert not pending
+        expected = [[[jaccard(a, c) for c in b] for a in b] for b in batches]
+        expected += [jaccard(b[0], b[2]) for b in batches]
+        assert [f.result() for f in futures] == expected
 
     def test_unicode_round_trip(self):
         with ExternalSimilarity(adapter_cmd("em"), name="em") as fn:

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -48,16 +49,11 @@ _sample_texts = st.one_of(
 )
 
 
-class CountingAdapter(ExternalSimilarity):
-    """The subprocess adapter, recording each pair it sends."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.calls = []
-
-    def similarity(self, candidate, reference):
-        self.calls.append((candidate, reference))
-        return super().similarity(candidate, reference)
+def logged_requests(log) -> list[tuple[str, str]]:
+    """The (a, b) pairs a line_scorer.py request log holds, in arrival order."""
+    if not log.exists():
+        return []
+    return [(r["a"], r["b"]) for r in map(json.loads, log.read_text("utf-8").splitlines())]
 
 
 class JaccardSimilarity(SimilarityFn):
@@ -188,17 +184,32 @@ class TestAvgBleu:
         samples = [ans("Unanswerable.", math.log(0.3)), ans("that is unanswerable", math.log(0.2))]
         assert avg_bleu_score(samples, similarity_fn) == pytest.approx(0.5, abs=1e-12)
 
-    def test_one_adapter_call_per_ordered_pair_of_proper_answers(self):
-        # Only proper distinct answers reach the adapter, each ordered pair
-        # once, diagonal included: 3 proper answers here, so 9 round trips.
+    def test_adapter_sends_each_ordered_pair_of_proper_answers_once_per_run(self, tmp_path):
+        # Counted on the far side of the pipe. Only proper distinct answers
+        # reach the scorer, each ordered pair once, diagonal included.
+        log = tmp_path / "requests.jsonl"
         texts = ["red apple", "Red Apple!", "unanswerable", "apple", "that is unanswerable",
                  "The", "apple", "?!"]
         samples = [ans(t, math.log(0.1)) for t in texts]
-        with CountingAdapter(adapter_cmd("jaccard"), name="jaccard") as fn:
-            score = avg_bleu_score(samples, fn)
         proper = ["red apple", "apple", ""]
-        assert fn.calls == [(a, b) for a in proper for b in proper]
-        assert score == brute_avg_bleu(samples, JaccardSimilarity())
+        with ExternalSimilarity(adapter_cmd("jaccard", log), name="jaccard") as fn:
+            # a first record: 3 proper answers, so 3^2 requests
+            score = avg_bleu_score(samples, fn)
+            assert logged_requests(log) == [(a, b) for a in proper for b in proper]
+            assert score == brute_avg_bleu(samples, JaccardSimilarity())
+            # the same answers in a later record, reordered: every pair is known
+            again = [ans(t, math.log(0.2)) for t in ["?!", "Apple", "red apple", "unanswerable"]]
+            assert avg_bleu_score(again, fn) == brute_avg_bleu(again, JaccardSimilarity())
+            assert len(logged_requests(log)) == 9
+            # one new answer: only its 2k+1 pairs with the k = 3 known ones,
+            # in row-major first-occurrence order
+            more = [ans(t, math.log(0.1)) for t in ["apple", "red car", "red apple", "?!"]]
+            assert avg_bleu_score(more, fn) == brute_avg_bleu(more, JaccardSimilarity())
+            assert logged_requests(log)[9:] == [
+                ("apple", "red car"), ("red car", "apple"), ("red car", "red car"),
+                ("red car", "red apple"), ("red car", ""), ("red apple", "red car"),
+                ("", "red car"),
+            ]
 
     @pytest.mark.parametrize("matrix", [[[1.0]], [[1.0, 0.5], [0.5]], [[1.0, True], [0.5, 1.0]]])
     def test_pairwise_result_is_checked(self, matrix):
