@@ -30,6 +30,8 @@ from typing import Sequence
 from .errors import AdapterError
 from .similarity import SimilarityFn
 
+_quote = json.encoder.encode_basestring
+
 #: Most (a, b) scores the pair table holds; it is cleared whole when a call
 #: could take it past this. Full, it holds about 9 MiB when each record's
 #: answers are new ones, strings included.
@@ -87,8 +89,10 @@ class ExternalSimilarity(SimilarityFn):
     def _exchange(self, pairs: list[tuple[str, str]]) -> list[float]:
         """Send one request per pair and parse the replies, in request order."""
         try:
+            # The bytes of json.dumps({"a": a, "b": b}, ensure_ascii=False),
+            # without building an encoder per request.
             payload = "".join(
-                json.dumps({"a": a, "b": b}, ensure_ascii=False) + "\n" for a, b in pairs
+                f'{{"a": {_quote(a)}, "b": {_quote(b)}}}\n' for a, b in pairs
             ).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise AdapterError(f"adapter pipe broke: {exc}") from exc

@@ -4,11 +4,21 @@ Subcommands: evaluate (full calibration report), score (per-record JSONL),
 sweep (threshold operating points), synth (generate a synthetic dump).
 Exit codes: 0 success, 1 usage error, 2 data error, 3 adapter error.
 
-Records are scored one after another, in input order. A record the loader
-accepts but a scoring method cannot score (no greedy logprobs, no samples,
-sample probabilities summing above 1) is a data error naming the file, the
-line and the question id. Outputs are written atomically (temp file +
-rename) and are byte-identical across runs.
+evaluate, score and sweep stream the dump: the adapter is launched, the gold
+file is read into a compact index, and then each dump line is parsed,
+checked, joined and scored in turn, so the process holds the scored rows
+and one record, never the whole dump. A record the loader accepts but a
+scoring method cannot score (no greedy logprobs, no samples, sample
+probabilities summing above 1) is a data error naming the file, the line
+and the question id; an adapter failure while a record is scored names them
+too.
+
+Errors are reported in that order. A gold error comes first. After it, the
+first failing dump line wins, whether it fails to parse, repeats an id,
+cannot be scored (exit 2) or breaks the adapter (exit 3), so lines before
+it have already been scored, adapter requests included. The join summary
+is printed once the last line is read. Outputs are written atomically
+(temp file + rename) only after that, and are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -19,20 +29,23 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import io as selqa_io
 from . import metrics, scoring
 from .correctness import CorrectnessClassifier
 from .errors import AdapterError, DataError, UsageError
 from .similarity import BleuSimilarity, SimilarityFn
-from .records import GoldRecord, PredictionRecord, ScoredPrediction
+from .records import PredictionRecord, ScoredPrediction
 
 _EXIT_USAGE = 1
 _EXIT_DATA = 2
 _EXIT_ADAPTER = 3
 
 _CLASSIFIER_CHOICES = ("em", "bleu-threshold", "adapter-threshold")
+
+_G = TypeVar("_G")
+_R = TypeVar("_R")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -151,26 +164,29 @@ def _build_classifier(args: argparse.Namespace, fn: SimilarityFn) -> Correctness
     return CorrectnessClassifier.adapter_threshold(fn, args.threshold)
 
 
-def _score_pairs(
-    pairs: Sequence[tuple[PredictionRecord, GoldRecord | None]],
-    score_one: Callable[[PredictionRecord, GoldRecord | None], object],
+def _score_stream(
+    pairs: Iterable[tuple[PredictionRecord, _G]],
+    score_one: Callable[[PredictionRecord, _G], _R],
     predictions_path: str,
-) -> list:
-    """Score (record, gold) pairs one after another, in input order.
+) -> list[_R]:
+    """Score (record, gold) pairs one after another, as the dump is read.
 
-    A ValueError from scoring becomes a DataError naming the record's line
-    and question.
+    A ValueError from scoring becomes a DataError, and an AdapterError is
+    raised again, both naming the record's line and question.
     """
     rows = []
     for record, gold in pairs:
         try:
             rows.append(score_one(record, gold))
         except ValueError as exc:
-            where = "" if record.line is None else f"line {record.line}: "
-            raise DataError(
-                f"{predictions_path}: {where}question_id {record.question_id!r}: {exc}"
-            ) from exc
+            raise DataError(_located(predictions_path, record, exc)) from exc
+        except AdapterError as exc:
+            raise AdapterError(_located(predictions_path, record, exc)) from exc
     return rows
+
+
+def _located(predictions_path: str, record: PredictionRecord, exc: Exception) -> str:
+    return f"{predictions_path}: line {record.line}: question_id {record.question_id!r}: {exc}"
 
 
 def _write_atomic(data: bytes, out: str | None) -> None:
@@ -190,32 +206,32 @@ def _write_atomic(data: bytes, out: str | None) -> None:
         raise
 
 
-def _load_joined(args: argparse.Namespace):
-    predictions = selqa_io.load_predictions(args.predictions)
-    gold = selqa_io.load_gold(args.gold)
-    pairs, summary = selqa_io.join(predictions, gold)
-    if not summary.clean:
-        print(f"join: {summary.describe()}", file=sys.stderr)
-    if not pairs:
-        raise DataError("no overlapping question ids between predictions and gold")
-    return pairs
-
-
 def _score_joined(
     args: argparse.Namespace, methods: Sequence[str]
 ) -> tuple[list[ScoredPrediction], CorrectnessClassifier, str]:
-    """Join predictions with gold and score every pair.
+    """Score each dump record against the gold index as the dump is read.
 
     Returns the scored rows, the classifier and the similarity's name.
     """
     with _build_similarity(args) as fn:
         classifier = _build_classifier(args, fn)
-        pairs = _load_joined(args)
-        scored = _score_pairs(
-            pairs,
-            lambda record, gold: scoring.score_all(record, gold, methods, fn, (classifier,)),
-            args.predictions,
-        )
+        gold = selqa_io.load_gold_index(args.gold)
+        summary = selqa_io.JoinSummary()
+        records = selqa_io.iter_predictions(args.predictions)
+        try:
+            scored = _score_stream(
+                selqa_io.join_stream(records, gold, summary),
+                lambda record, entry: scoring.score_joined(
+                    record, *entry, methods, fn, (classifier,)
+                ),
+                args.predictions,
+            )
+        finally:
+            records.close()
+    if not summary.clean:
+        print(f"join: {summary.describe()}", file=sys.stderr)
+    if not scored:
+        raise DataError("no overlapping question ids between predictions and gold")
     return scored, classifier, fn.name
 
 
@@ -228,8 +244,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     meta = {"classifier": classifier.name, "bins": str(args.bins), "similarity": sim_name}
     if classifier.name != "em":
         meta["threshold"] = repr(classifier.threshold)
-    report = metrics.build_report(
-        scored, methods, targets, classifier.name, n_bins=args.bins, meta=meta
+    # One ranking per method serves both the report and its curves.
+    rankings = metrics.rank_methods(scored, methods, classifier.name)
+    report = metrics.report_from_rankings(
+        scored, rankings, targets, classifier.name, args.bins, meta
     )
     outputs: list[tuple[bytes, str | None]] = [
         (selqa_io.emit_report(report, args.format), args.out)
@@ -237,12 +255,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if args.curves_out:
         curve_dir = Path(args.curves_out)
         curve_dir.mkdir(parents=True, exist_ok=True)
-        for method in methods:
-            points = metrics.method_points(scored, method, classifier.name)
-            curve = metrics.risk_coverage_curve(points) if points else []
-            outputs.append(
-                (selqa_io.emit_curve(curve), str(curve_dir / f"{_safe_name(method)}.csv"))
-            )
+        for method, ranking in rankings.items():
+            outputs.append((
+                selqa_io.emit_curve(metrics.ranked_curve(ranking)),
+                str(curve_dir / f"{_safe_name(method)}.csv"),
+            ))
     # Everything computed before anything is written: no partial artifacts.
     for data, out in outputs:
         _write_atomic(data, out)
@@ -269,16 +286,19 @@ def cmd_score(args: argparse.Namespace) -> int:
         ]
     else:
         with _build_similarity(args) as fn:
-            records = selqa_io.load_predictions(args.predictions)
-            rows = _score_pairs(
-                [(record, None) for record in records],
-                lambda record, _: {
-                    "question_id": record.question_id,
-                    "triggered": scoring.trigger_decision(record.greedy),
-                    "scores": scoring.score_record(record, methods, fn),
-                },
-                args.predictions,
-            )
+            records = selqa_io.iter_predictions(args.predictions)
+            try:
+                rows = _score_stream(
+                    ((record, None) for record in records),
+                    lambda record, _: {
+                        "question_id": record.question_id,
+                        "triggered": scoring.trigger_decision(record.greedy),
+                        "scores": scoring.score_record(record, methods, fn),
+                    },
+                    args.predictions,
+                )
+            finally:
+                records.close()
     lines = [json.dumps(row, ensure_ascii=False, separators=(",", ":")) for row in rows]
     _write_atomic(("\n".join(lines) + "\n").encode("utf-8") if lines else b"", args.out)
     return 0

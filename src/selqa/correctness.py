@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .records import GoldRecord
 from .similarity import BleuSimilarity, SimilarityFn, answer_similarity
-from .textnorm import normalize_answer
+from .textnorm import distinct_normalized, normalize_answer
 
 
 @dataclass(frozen=True)
@@ -54,17 +54,17 @@ class CorrectnessClassifier:
     def verdict(self, prediction: str, gold: GoldRecord) -> bool:
         """True iff the prediction matches some gold answer under this rule.
 
-        Exact match compares normalized texts and stops at the first match;
-        the similarity rule asks whether the best similarity against any
-        gold answer reaches the threshold, scoring each distinct normalized
-        gold answer once.
+        Exact match compares normalized texts; the similarity rule asks
+        whether the best similarity against any gold answer reaches the
+        threshold, scoring each distinct normalized gold answer once.
         """
-        normalized = normalize_answer(prediction)
-        golds = (normalize_answer(a.answer) for a in gold.annotations)
+        golds = distinct_normalized(a.answer for a in gold.annotations)
+        return self._verdict(normalize_answer(prediction), golds)
+
+    def _verdict(self, prediction: str, golds: tuple[str, ...]) -> bool:
+        """The rule over a normalized prediction and the distinct normalized golds."""
         if self.name == "em":
-            return normalized in golds
+            return prediction in golds
         assert self.similarity is not None
-        best = max(
-            answer_similarity(normalized, g, self.similarity) for g in dict.fromkeys(golds)
-        )
+        best = max(answer_similarity(prediction, g, self.similarity) for g in golds)
         return best >= self.threshold

@@ -7,6 +7,11 @@ shape of crowd-sourced VQA annotation releases: per-annotation answerable
 flags default from the record-level flag when absent, and the record-level
 flag is the OR of the annotation flags when only those exist.
 
+Both readers stream: iter_predictions yields one record per line, and the
+gold array is parsed one element at a time from 64 KiB chunks, either into
+GoldRecords (load_gold) or into the compact index scoring reads
+(load_gold_index). Neither holds the whole file.
+
 All emission is byte-deterministic. Human formats (csv, markdown) round
 floats to 4 decimals; the canonical json report keeps full precision so a
 report round-trips exactly through emit_report/parse_report.
@@ -14,9 +19,11 @@ report round-trips exactly through emit_report/parse_report.
 
 from __future__ import annotations
 
+import codecs
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import DuplicateKeyError, ParseError
 from .metrics import RiskCoveragePoint, SweepRow
@@ -29,6 +36,7 @@ from .records import (
     SampledAnswer,
     validate_record,
 )
+from .textnorm import distinct_normalized
 
 # ---------------------------------------------------------------------------
 # prediction dumps (JSONL)
@@ -57,12 +65,18 @@ def dump_predictions(records: Sequence[PredictionRecord], path: str) -> None:
 
 
 def load_predictions(path: str) -> list[PredictionRecord]:
-    """Parse and validate a prediction dump, preserving file order.
+    """Parse and validate a prediction dump, preserving file order."""
+    return list(iter_predictions(path))
+
+
+def iter_predictions(path: str) -> Iterator[PredictionRecord]:
+    """Parse and validate a prediction dump one line at a time, in file order.
 
     Errors carry the offending line number, and each record keeps its line.
     Lines are decoded one at a time, so invalid UTF-8 is reported at its line.
+    Only the line being parsed is held; the file closes when the generator
+    finishes or is closed.
     """
-    records = []
     with open(path, "rb") as f:
         for lineno, raw in enumerate(f, start=1):
             where = f"line {lineno}"
@@ -76,6 +90,10 @@ def load_predictions(path: str) -> list[PredictionRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(path, where, f"invalid JSON: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(path, where, _json_limit(exc)) from exc
+            if b"\\u" in raw:
+                _check_unicode(obj, path, where)
             try:
                 record = _prediction_from_obj(obj, lineno)
             except KeyError as exc:
@@ -85,8 +103,28 @@ def load_predictions(path: str) -> list[PredictionRecord]:
             violations = validate_record(record)
             if violations:
                 raise ParseError(path, where, "; ".join(violations))
-            records.append(record)
-    return records
+            yield record
+
+
+def _json_limit(exc: ValueError | RecursionError) -> str:
+    """The reason for well-formed JSON beyond a decoder limit: depth or integer digits."""
+    if isinstance(exc, RecursionError):
+        return "invalid JSON: nested too deeply"
+    return f"invalid JSON: {exc}"
+
+
+def _check_unicode(obj: object, path: str, where: str) -> None:
+    """ParseError unless every string in obj is valid Unicode.
+
+    A JSON escape such as \\ud800 decodes to a lone surrogate, which no
+    output or adapter request can encode as UTF-8. Callers check only
+    records whose raw text holds a \\u escape.
+    """
+    try:
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        surrogate = exc.object[exc.start]
+        raise ParseError(path, where, f"invalid Unicode: lone surrogate {surrogate!r}") from exc
 
 
 def _prediction_from_obj(obj: dict, line: int) -> PredictionRecord:
@@ -122,7 +160,22 @@ def _answer_from_obj(obj: object, where: str) -> SampledAnswer:
         isinstance(v, (int, float)) and not isinstance(v, bool) for v in logprobs
     ):
         raise ValueError(f"{where}.logprobs is not an array of numbers")
-    return SampledAnswer(text=text, logprobs=tuple(float(v) for v in logprobs))
+    try:
+        values = tuple(map(float, logprobs))
+    except OverflowError:
+        values = tuple(map(_to_float, logprobs))
+    return SampledAnswer(text=text, logprobs=values)
+
+
+def _to_float(value: int | float) -> float:
+    """float(value), infinite for an integer beyond float range.
+
+    Validation then reports it as not finite, as it does the literal -1e400.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _expect_str(obj: dict, key: str) -> str:
@@ -159,61 +212,225 @@ def dump_gold(records: Sequence[GoldRecord], path: str) -> None:
 
 def load_gold(path: str) -> list[GoldRecord]:
     """Parse a gold file, deriving answerability flags where absent."""
-    try:
-        with open(path, "rb") as f:
-            parsed = json.loads(f.read().decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ParseError(path, f"byte {exc.start}", f"invalid UTF-8: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        # exc.pos indexes the decoded characters; the location names a byte.
-        offset = len(exc.doc[: exc.pos].encode("utf-8"))
-        raise ParseError(path, f"byte {offset}", f"invalid JSON: {exc.msg}") from exc
-    if not isinstance(parsed, list):
-        raise ParseError(path, "top level", "gold file is not a JSON array")
     records = []
-    for i, obj in enumerate(parsed):
-        where = f"record {i}"
-        try:
-            records.append(_gold_from_obj(obj))
-        except KeyError as exc:
-            raise ParseError(path, where, f"missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ParseError(path, where, str(exc)) from exc
+    for i, obj in _gold_objects(path):
+        qid, answers, flags = _checked_gold(obj, path, i)
+        annotations = tuple(
+            GoldAnnotation(a["answer"], flag, a.get("answer_confidence"))
+            for a, flag in zip(answers, flags)
+        )
+        records.append(GoldRecord(question_id=qid, annotations=annotations))
     return records
 
 
-def _gold_from_obj(obj: dict) -> GoldRecord:
-    if not isinstance(obj, dict):
-        raise ValueError("gold record is not a JSON object")
-    qid = _expect_str(obj, "question_id")
-    answers = obj.get("answers")
-    if not isinstance(answers, list) or not answers:
-        raise ValueError(f"gold record {qid!r} has no answers")
-    record_level = obj.get("answerable")
-    if record_level is not None and not isinstance(record_level, bool):
-        raise ValueError("answerable is not a boolean")
-    annotations = []
-    for j, a in enumerate(answers):
-        if not isinstance(a, dict) or not isinstance(a.get("answer"), str):
-            raise ValueError(f"answers[{j}] lacks a string answer")
-        flag = a.get("answerable")
-        if flag is None:
-            # Per-annotation flag inherits the record-level one; a file with
-            # neither is treated as answerable (an answer was given).
-            flag = record_level if record_level is not None else True
-        elif not isinstance(flag, bool):
-            raise ValueError(f"answers[{j}].answerable is not a boolean")
-        confidence = a.get("answer_confidence")
-        if confidence is not None and not isinstance(confidence, str):
-            raise ValueError(f"answers[{j}].answer_confidence is not a string")
-        annotations.append(
-            GoldAnnotation(answer=a["answer"], answerable=flag, answer_confidence=confidence)
-        )
-    return GoldRecord(question_id=qid, annotations=tuple(annotations))
+#: A gold record reduced to what scoring reads: its distinct normalized
+#: answers, in first-occurrence order, and whether it is answerable.
+GoldEntry = tuple[tuple[str, ...], bool]
+
+
+def load_gold_index(path: str) -> dict[str, GoldEntry]:
+    """Map each question_id of a gold file to its GoldEntry.
+
+    Reads and checks the file as load_gold does, without building its
+    records; a question_id seen twice is a DuplicateKeyError, as in join.
+    """
+    index: dict[str, GoldEntry] = {}
+    for i, obj in _gold_objects(path):
+        qid, answers, flags = _checked_gold(obj, path, i)
+        if qid in index:
+            raise DuplicateKeyError(f"duplicate question_id in gold: {qid!r}")
+        index[qid] = (distinct_normalized([a["answer"] for a in answers]), any(flags))
+    return index
+
+
+def _checked_gold(obj: object, path: str, i: int) -> tuple[str, list[dict], list[bool]]:
+    """A gold record's question_id, answer objects and per-answer flags.
+
+    Each answer's answerable flag defaults to the record-level flag, and to
+    True when neither exists (an answer was given). Anything malformed is a
+    ParseError naming the record's index.
+    """
+    try:
+        if not isinstance(obj, dict):
+            raise ValueError("gold record is not a JSON object")
+        qid = _expect_str(obj, "question_id")
+        answers = obj.get("answers")
+        if not isinstance(answers, list) or not answers:
+            raise ValueError(f"gold record {qid!r} has no answers")
+        default = obj.get("answerable")
+        if default is None:
+            default = True
+        elif not isinstance(default, bool):
+            raise ValueError("answerable is not a boolean")
+        flags = []
+        for j, a in enumerate(answers):
+            if not isinstance(a, dict) or not isinstance(a.get("answer"), str):
+                raise ValueError(f"answers[{j}] lacks a string answer")
+            flag = a.get("answerable")
+            if flag is None:
+                flag = default
+            elif not isinstance(flag, bool):
+                raise ValueError(f"answers[{j}].answerable is not a boolean")
+            confidence = a.get("answer_confidence")
+            if confidence is not None and not isinstance(confidence, str):
+                raise ValueError(f"answers[{j}].answer_confidence is not a string")
+            flags.append(flag)
+    except KeyError as exc:
+        raise ParseError(path, f"record {i}", f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(path, f"record {i}", str(exc)) from exc
+    return qid, answers, flags
+
+
+#: Bytes of the gold file read at a time.
+_CHUNK = 1 << 16
+_DECODER = json.JSONDecoder()
+_SKIP_WHITESPACE = json.decoder.WHITESPACE.match
+
+
+def _gold_objects(path: str) -> Iterator[tuple[int, object]]:
+    """Each element of a gold file's top-level JSON array, with its index.
+
+    The file is decoded in chunks and parsed one element at a time, so the
+    whole file is never held. Errors are those of parsing it whole: invalid
+    UTF-8 and JSON syntax errors name their byte offset, and a file that is
+    not an array is reported as such once it parses. An element holding a
+    lone surrogate escape is a ParseError naming its index.
+    """
+    with open(path, "rb") as f:
+        text = _ChunkedText(f, path)
+        text.skip_whitespace()
+        if text.peek() != "[":
+            text.parse_whole()
+            raise ParseError(path, "top level", "gold file is not a JSON array")
+        text.pos += 1
+        text.skip_whitespace()
+        i = 0
+        while text.peek() != "]":
+            if i:
+                if text.peek() != ",":
+                    raise text.error("Expecting ',' delimiter", text.pos)
+                text.pos += 1
+                text.skip_whitespace()
+            obj = text.value()
+            if text.buf.find("\\u", text.mark, text.pos) >= 0:
+                _check_unicode(obj, path, f"record {i}")
+            yield i, obj
+            i += 1
+            text.skip_whitespace()
+        text.pos += 1
+        text.skip_whitespace()
+        if text.pos < len(text.buf):
+            raise text.error("Extra data", text.pos)
+
+
+class _ChunkedText:
+    """A UTF-8 file decoded chunk by chunk, with a read position.
+
+    buf holds the text from byte offset base on. Reading more drops the text
+    before mark, the start of the value being parsed, so buf spans at most
+    one value and one chunk.
+    """
+
+    def __init__(self, f: BinaryIO, path: str) -> None:
+        self.f = f
+        self.path = path
+        self.utf8 = codecs.getincrementaldecoder("utf-8")()
+        self.buf = ""
+        self.pos = 0
+        self.mark = 0
+        self.base = 0
+        self.read = 0  # bytes read from the file
+        self.eof = False
+
+    def more(self, size: int = _CHUNK) -> bool:
+        """Append the text of up to size more bytes; False at end of file."""
+        if self.eof:
+            return False
+        if self.mark:
+            self.base += len(self.buf[: self.mark].encode("utf-8"))
+            self.buf = self.buf[self.mark :]
+            self.pos -= self.mark
+            self.mark = 0
+        data = self.f.read(size)
+        # Byte offset of the decoder's input: these bytes and those it holds back.
+        offset = self.read - len(self.utf8.getstate()[0])
+        self.read += len(data)
+        self.eof = not data
+        try:
+            self.buf += self.utf8.decode(data, final=self.eof)
+        except UnicodeDecodeError as exc:
+            reason = f"invalid UTF-8: {_utf8_reason(exc, offset)}"
+            raise ParseError(self.path, f"byte {offset + exc.start}", reason) from exc
+        return True
+
+    def peek(self) -> str:
+        """The character at pos, or "" at end of file."""
+        return self.buf[self.pos : self.pos + 1]
+
+    def skip_whitespace(self) -> None:
+        while True:
+            self.pos = _SKIP_WHITESPACE(self.buf, self.pos).end()
+            if self.pos < len(self.buf):
+                return
+            self.mark = self.pos
+            if not self.more():
+                return
+
+    def value(self) -> object:
+        """Parse the JSON value at pos and move past it.
+
+        A value cut off by the end of buf, or failing to parse there, is
+        parsed again with more text; each retry at least doubles the text,
+        so a long value costs linear time.
+        """
+        self.mark = self.pos
+        while True:
+            try:
+                obj, end = _DECODER.raw_decode(self.buf, self.pos)
+            except json.JSONDecodeError as exc:
+                if self.more(max(_CHUNK, len(self.buf) - self.mark)):
+                    continue
+                raise self.error(exc.msg, exc.pos) from exc
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(self.path, self._where(self.pos), _json_limit(exc)) from exc
+            # A number ending at the end of buf may go on in the next chunk.
+            if end < len(self.buf) or not self.more(max(_CHUNK, len(self.buf) - self.mark)):
+                self.pos = end
+                return obj
+
+    def parse_whole(self) -> None:
+        """Read the rest and parse it whole, raising its JSON error if any."""
+        while self.more(max(_CHUNK, len(self.buf))):
+            pass
+        try:
+            json.loads(self.buf)
+        except json.JSONDecodeError as exc:
+            raise self.error(exc.msg, exc.pos) from exc
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(self.path, self._where(self.pos), _json_limit(exc)) from exc
+
+    def error(self, msg: str, pos: int) -> ParseError:
+        return ParseError(self.path, self._where(pos), f"invalid JSON: {msg}")
+
+    def _where(self, pos: int) -> str:
+        return f"byte {self.base + len(self.buf[:pos].encode('utf-8'))}"
+
+
+def _utf8_reason(exc: UnicodeDecodeError, offset: int) -> str:
+    """str(exc) with its positions counted from the start of the file."""
+    start = offset + exc.start
+    if exc.end - exc.start == 1:
+        what = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        what = f"bytes in position {start}-{offset + exc.end - 1}"
+    return f"'{exc.encoding}' codec can't decode {what}: {exc.reason}"
 
 
 # ---------------------------------------------------------------------------
 # joining
+
+_G = TypeVar("_G")
 
 
 @dataclass
@@ -252,9 +469,19 @@ def join(
         if g.question_id in gold_index:
             raise DuplicateKeyError(f"duplicate question_id in gold: {g.question_id!r}")
         gold_index[g.question_id] = g
-    seen: set[str] = set()
     summary = JoinSummary()
-    pairs = []
+    return list(join_stream(predictions, gold_index, summary)), summary
+
+
+def join_stream(
+    predictions: Iterable[PredictionRecord], gold_index: Mapping[str, _G], summary: JoinSummary
+) -> Iterator[tuple[PredictionRecord, _G]]:
+    """Yield each prediction with its gold entry as the predictions arrive.
+
+    Fills summary as it goes; its unmatched gold ids are complete once the
+    predictions are exhausted. A repeated prediction id is fatal.
+    """
+    seen: set[str] = set()
     for p in predictions:
         if p.question_id in seen:
             raise DuplicateKeyError(
@@ -267,14 +494,13 @@ def join(
             if len(summary.unmatched_predictions) < JoinSummary.MAX_IDS:
                 summary.unmatched_predictions.append(p.question_id)
         else:
-            pairs.append((p, g))
-    summary.n_matched = len(pairs)
+            summary.n_matched += 1
+            yield p, g
     for qid in gold_index:
         if qid not in seen:
             summary.n_unmatched_gold += 1
             if len(summary.unmatched_gold) < JoinSummary.MAX_IDS:
                 summary.unmatched_gold.append(qid)
-    return pairs, summary
 
 
 # ---------------------------------------------------------------------------

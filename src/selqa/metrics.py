@@ -4,8 +4,10 @@ Every metric reads one ranking (_rank): the points sorted once by descending
 score, ties broken by ascending record id, and an integer count of correct
 points in each prefix. AUC and coverage use exact integer counts, ECE sums
 bin scores with fsum, so every metric is a pure, reproducible function of its
-input set. build_report ranks each method once. Degenerate cases (no
-positives, no negatives, nothing triggered) yield None, never 0 or NaN.
+input set. build_report ranks each method once (rank_methods), and the
+risk-coverage curves of the same report can read those rankings. Degenerate
+cases (no positives, no negatives, nothing triggered) yield None, never 0 or
+NaN.
 """
 
 from __future__ import annotations
@@ -39,7 +41,11 @@ class RiskCoveragePoint:
     accuracy: float  # percent in [0, 100]
 
 
-def _rank(points: Iterable[EvalPoint]) -> tuple[list[float], list[int]]:
+#: A ranking: the scores in ranked order and the prefix counts of correct points.
+Ranking = tuple[list[float], list[int]]
+
+
+def _rank(points: Iterable[EvalPoint]) -> Ranking:
     """The one ranking every metric reads: descending score, ties by record id.
 
     Returns the scores in that order and hits, where hits[m] is the number of
@@ -132,8 +138,13 @@ def risk_coverage_curve(points: Sequence[EvalPoint]) -> list[RiskCoveragePoint]:
     """Prefix accuracy at every coverage step 100*m/N, m = 1..N."""
     if not points:
         raise ValueError("risk_coverage_curve needs at least one point")
-    hits = _rank(points)[1]
-    n = len(points)
+    return ranked_curve(_rank(points))
+
+
+def ranked_curve(ranking: Ranking) -> list[RiskCoveragePoint]:
+    """risk_coverage_curve read off a ranking; empty for an empty ranking."""
+    hits = ranking[1]
+    n = len(hits) - 1
     return [RiskCoveragePoint(100.0 * m / n, 100.0 * hits[m] / m) for m in range(1, n + 1)]
 
 
@@ -209,6 +220,17 @@ def method_points(
     ]
 
 
+def rank_methods(
+    scored: Sequence[ScoredPrediction], methods: Sequence[str], classifier: str = "em"
+) -> dict[str, Ranking]:
+    """Each method's one ranking of the triggered records.
+
+    build_report reads these, and so can the curves of the same report.
+    """
+    triggered = [s for s in scored if s.triggered]
+    return {method: _rank(method_points(triggered, method, classifier)) for method in methods}
+
+
 def build_report(
     scored: Sequence[ScoredPrediction],
     methods: Sequence[str],
@@ -221,15 +243,25 @@ def build_report(
 
     With zero triggered records every metric cell is None.
     """
+    rankings = rank_methods(scored, methods, classifier)
+    return report_from_rankings(scored, rankings, acc_targets, classifier, n_bins, meta)
+
+
+def report_from_rankings(
+    scored: Sequence[ScoredPrediction],
+    rankings: dict[str, Ranking],
+    acc_targets: Sequence[float],
+    classifier: str,
+    n_bins: int,
+    meta: dict[str, str] | None,
+) -> CalibrationReport:
+    """build_report from the rankings rank_methods returned for the same records."""
     if not scored:
         raise ValueError("build_report needs at least one record")
     accuracy, trigger_rate = accuracy_at_trigger(scored, classifier)
-    triggered = [s for s in scored if s.triggered]
     rows: dict[str, MethodMetrics] = {}
-    for method in methods:
-        points = method_points(triggered, method, classifier)
-        if points:
-            scores, hits = _rank(points)
+    for method, (scores, hits) in rankings.items():
+        if scores:
             rows[method] = MethodMetrics(
                 auc=_auc(scores, hits),
                 ece=_ece(scores, hits, n_bins),
@@ -244,6 +276,6 @@ def build_report(
         accuracy=accuracy,
         trigger_rate=trigger_rate,
         n_total=len(scored),
-        n_triggered=len(triggered),
+        n_triggered=sum(s.triggered for s in scored),
         meta=dict(meta or {}),
     )

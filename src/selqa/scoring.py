@@ -33,7 +33,7 @@ from .records import (
     ScoredPrediction,
 )
 from .similarity import BleuSimilarity, SimilarityFn, checked_score
-from .textnorm import normalize_answer
+from .textnorm import distinct_normalized, normalize_answer
 
 #: Names accepted by score requests; the avg method's report key follows the
 #: similarity function in use ("avg-bleu" builtin, "avg-<name>" for adapters).
@@ -194,16 +194,30 @@ def score_all(
         )
     if classifiers is None:
         classifiers = (CorrectnessClassifier.exact_match(),)
+    golds = distinct_normalized(a.answer for a in gold.annotations)
+    return score_joined(record, golds, gold.answerable, methods, fn, classifiers)
+
+
+def score_joined(
+    record: PredictionRecord,
+    golds: tuple[str, ...],
+    answerable: bool,
+    methods: Iterable[str],
+    fn: SimilarityFn | None,
+    classifiers: Sequence[CorrectnessClassifier],
+) -> ScoredPrediction:
+    """score_all against gold already reduced to its distinct normalized answers."""
     triggered = trigger_decision(record.greedy)
     scores = score_record(record, methods, fn)
     correct: dict[str, bool] = {}
     if triggered:
+        prediction = normalize_answer(record.greedy.text)
         for clf in classifiers:
-            correct[clf.name] = clf.verdict(record.greedy.text, gold)
+            correct[clf.name] = clf._verdict(prediction, golds)
     return ScoredPrediction(
         question_id=record.question_id,
         triggered=triggered,
         scores=scores,
         correct=correct,
-        answerable=gold.answerable,
+        answerable=answerable,
     )

@@ -9,6 +9,7 @@ collapsed. Digits are preserved; "two" and "2" stay distinct.
 from __future__ import annotations
 
 import unicodedata
+from typing import Iterable
 
 _ARTICLES = frozenset({"a", "an", "the"})
 
@@ -34,6 +35,14 @@ def normalize_answer(raw: str) -> str:
     """Normalize a raw answer string; idempotent."""
     words = raw.lower().translate(_PUNCTUATION_TO_SPACE).split()
     return " ".join(w for w in words if w not in _ARTICLES)
+
+
+def distinct_normalized(raws: Iterable[str]) -> tuple[str, ...]:
+    """Distinct normalized forms of raw answers, in first-occurrence order.
+
+    Each distinct raw answer is normalized once, however often it repeats.
+    """
+    return tuple(dict.fromkeys(map(normalize_answer, dict.fromkeys(raws))))
 
 
 def tokenize(answer: str, mode: str = "word") -> list[str]:

@@ -97,12 +97,16 @@ class TestExternalSimilarity:
     @pytest.mark.parametrize("mode", ["error-after:2", "garbage-after:2", "die-after:2"])
     def test_fault_in_a_batch_exits_3_through_the_cli(self, mode):
         scorer = " ".join(adapter_cmd(mode))
+        predictions = DATA_DIR / "golden_predictions.jsonl"
         proc = run_python(["-X", "dev", "-m", "selqa.cli", "evaluate",
-                           "--predictions", str(DATA_DIR / "golden_predictions.jsonl"),
+                           "--predictions", str(predictions),
                            "--gold", str(DATA_DIR / "golden_gold.json"),
                            "--adapter-cmd", scorer, "--methods", "avg-bleu"], timeout=60)
         assert proc.returncode == 3
-        assert proc.stderr.startswith("adapter error: adapter ")
+        # the failure names the record being scored, as a data error would
+        assert proc.stderr.startswith(
+            f"adapter error: {predictions}: line 1: question_id 'q000000': adapter "
+        )
         assert "ResourceWarning" not in proc.stderr
 
     def test_launch_failure(self):
@@ -151,6 +155,15 @@ class TestAdapterPool:
         expected = [[[jaccard(a, c) for c in b] for a in b] for b in batches]
         expected += [jaccard(b[0], b[2]) for b in batches]
         assert [f.result() for f in futures] == expected
+
+    def test_request_bytes_are_those_of_json_dumps(self, tmp_path):
+        answers = ['say "hi"', "back\\slash", "tab\tand\nnewline", "café żółć", "\u2028"]
+        log = tmp_path / "requests.jsonl"
+        with ExternalSimilarity(adapter_cmd("jaccard", log), name="jac") as fn:
+            fn.pairwise(answers)
+        expected = [json.dumps({"a": a, "b": b}, ensure_ascii=False)
+                    for a in answers for b in answers]
+        assert log.read_text(encoding="utf-8").split("\n") == expected + [""]
 
     def test_unicode_round_trip(self):
         with ExternalSimilarity(adapter_cmd("em"), name="em") as fn:

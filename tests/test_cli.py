@@ -22,6 +22,11 @@ def run(*argv) -> int:
 GOLDEN_PRED = str(DATA_DIR / "golden_predictions.jsonl")
 GOLDEN_GOLD = str(DATA_DIR / "golden_gold.json")
 
+# A dump line whose id the golden gold file lacks, so it is never scored.
+_LINE_1 = b'{"question_id":"q1","greedy":{"text":"a","logprobs":[-1]}}\n'
+# JSON nested far past the decoder's recursion limit.
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
 
 class TestEvaluate:
     def test_golden_report(self, tmp_path):
@@ -115,23 +120,51 @@ class TestEvaluate:
         assert not out.exists()
         assert not list(tmp_path.glob(".selqa-*"))
 
-    @pytest.mark.parametrize("side,data,where", [
+    @pytest.mark.parametrize("side,data,where,reason", [
         ("predictions", b'{"question_id":"q1","greedy":{"text":"a","logprobs":[-1]}}\n'
          b'{"question_id":"q2","greedy":{"text":"b","logprobs":[-1]}}\n'
-         b'{"question_id":"q3","greedy":{"text":"\xff","logprobs":[-1]}}\n', "line 3"),
-        ("gold", b'[\n{"question_id":"q1","answers":[{"answer":"a"}]},\n"\xff"]\n', "byte 52"),
-        ("gold", b'[{"question_id":"q1","answers":[]}]\n', "record 0"),
+         b'{"question_id":"q3","greedy":{"text":"\xff","logprobs":[-1]}}\n', "line 3",
+         "invalid UTF-8"),
+        ("gold", b'[\n{"question_id":"q1","answers":[{"answer":"a"}]},\n"\xff"]\n', "byte 52",
+         "invalid UTF-8"),
+        ("gold", b'[{"question_id":"q1","answers":[]}]\n', "record 0", "gold record 'q1'"),
         # the stray "}" is character 54 but byte 58: each letter of "żółć" is two bytes
         ("gold", '[{"question_id": "żółć", "answers": [{"answer": "x"}]}}]\n'.encode(),
-         "byte 58"),
-    ], ids=["predictions-utf8", "gold-utf8", "gold-no-answers", "gold-json-multibyte"])
-    def test_bad_input_is_a_data_error(self, tmp_path, capsys, side, data, where):
+         "byte 58", "invalid JSON"),
+        ("predictions", _LINE_1 + b'{"question_id":"q2","meta":' + _DEEP + b'}\n', "line 2",
+         "invalid JSON: nested too deeply"),
+        ("gold", b"[" + _DEEP + b"]\n", "byte 1", "invalid JSON: nested too deeply"),
+        # an integer beyond float range is infinite, like the float -1e400
+        ("predictions", b'{"question_id":"q1","greedy":{"text":"a","logprobs":[-1%s]}}\n'
+         % (b"0" * 400), "line 1", "greedy: logprob not finite at token 0"),
+        # past Python's 4300-digit limit an integer does not even parse
+        ("predictions", b'{"question_id":"q1","greedy":{"text":"a","logprobs":[-1%s]}}\n'
+         % (b"0" * 5000), "line 1", "invalid JSON: Exceeds the limit"),
+        ("gold", b'[{"question_id":"q1","answers":[{"answer":"a"}],"n":1%s}]\n' % (b"0" * 5000),
+         "byte 1", "invalid JSON: Exceeds the limit"),
+        # a lone surrogate escape cannot be written as UTF-8; a valid pair can
+        ("predictions", _LINE_1.replace(b'"a"', b'"\\ud83d\\ude00"')
+         + b'{"question_id":"q2\\ud800","greedy":{"text":"a","logprobs":[-1]}}\n', "line 2",
+         "invalid Unicode: lone surrogate '\\ud800'"),
+        ("gold", b'[{"question_id":"q1","answers":[{"answer":"\\ud83d\\ude00"}]},'
+         b'{"question_id":"q2","answers":[{"answer":"a\\udc00"}]}]\n', "record 1",
+         "invalid Unicode: lone surrogate '\\udc00'"),
+    ], ids=["predictions-utf8", "gold-utf8", "gold-no-answers", "gold-json-multibyte",
+            "predictions-deep-nesting", "gold-deep-nesting", "predictions-huge-logprob",
+            "predictions-long-integer", "gold-long-integer", "predictions-lone-surrogate",
+            "gold-lone-surrogate"])
+    def test_bad_input_is_a_data_error(self, tmp_path, capsys, side, data, where, reason):
         path = tmp_path / "bad"
         path.write_bytes(data)
         inputs = {"predictions": GOLDEN_PRED, "gold": GOLDEN_GOLD, side: str(path)}
-        code = run("evaluate", "--predictions", inputs["predictions"], "--gold", inputs["gold"])
-        assert code == 2
-        assert capsys.readouterr().err.startswith(f"data error: {path}: {where}: ")
+        for command in ("evaluate", "score"):
+            code = run(command, "--predictions", inputs["predictions"], "--gold", inputs["gold"],
+                       "--out", str(tmp_path / "out"))
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {path}: {where}: "), err
+            assert reason in err
+            assert not (tmp_path / "out").exists()
 
     def test_adapter_backed_methods(self, tmp_path):
         out = tmp_path / "report.json"
@@ -158,6 +191,63 @@ class TestEvaluate:
                    "--methods", "avg-bleu")
         assert code == 3
         assert "adapter score is not a number: True" in capsys.readouterr().err
+
+
+def _scorable(qid: str) -> str:
+    return ('{"question_id":"%s","greedy":{"text":"red apple","logprobs":[-0.1]},'
+            '"samples":[{"text":"red apple","logprobs":[-0.5]},'
+            '{"text":"red car","logprobs":[-1.5]}]}' % qid)
+
+
+class TestStreamedErrorOrder:
+    """The gold file is read first, then the dump line by line: a gold error
+    wins, after it the first failing line does, and the join summary is
+    printed only once the last line is read."""
+
+    def test_gold_error_precedes_a_bad_dump_line(self, tmp_path, capsys):
+        pred = tmp_path / "p.jsonl"
+        pred.write_text("{not json\n")
+        gold = tmp_path / "g.json"
+        gold.write_text('[{"question_id": "q1", "answers": []}]\n')
+        assert run("evaluate", "--predictions", str(pred), "--gold", str(gold)) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {gold}: record 0: gold record 'q1' has no answers\n"
+        )
+
+    def test_adapter_error_on_line_1_precedes_a_bad_line_3(self, tmp_path, capsys):
+        pred = tmp_path / "p.jsonl"
+        pred.write_text(_scorable("q1") + "\n" + _scorable("q2") + "\n{not json\n")
+        gold = tmp_path / "g.json"
+        gold.write_text(json.dumps(
+            [{"question_id": q, "answers": [{"answer": "red apple"}]} for q in ("q1", "q2")]
+        ))
+        code = run("evaluate", "--predictions", str(pred), "--gold", str(gold),
+                   "--adapter-cmd", " ".join(adapter_cmd("error")), "--methods", "avg-bleu")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"adapter error: {pred}: line 1: question_id 'q1': adapter reported: scorer exploded\n"
+        )
+
+    def test_dump_is_read_lazily(self, tmp_path, capsys):
+        pred = tmp_path / "p.jsonl"
+        pred.write_text(_scorable("q1") + "\n{not json\n")
+        gold = tmp_path / "g.json"
+        # q9 has no prediction: a finished run would print a join summary
+        gold.write_text(json.dumps(
+            [{"question_id": q, "answers": [{"answer": "red apple"}]} for q in ("q1", "q9")]
+        ))
+        log = tmp_path / "requests.jsonl"
+        code = run("evaluate", "--predictions", str(pred), "--gold", str(gold),
+                   "--adapter-cmd", " ".join(adapter_cmd("jaccard", log)),
+                   "--methods", "avg-bleu")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"data error: {pred}: line 2: invalid JSON: ")
+        # record 1's two answers went out as 2 x 2 pairs before line 2 was parsed
+        requests = [json.loads(line) for line in log.read_text().splitlines()]
+        assert sorted((r["a"], r["b"]) for r in requests) == [
+            ("red apple", "red apple"), ("red apple", "red car"),
+            ("red car", "red apple"), ("red car", "red car"),
+        ]
 
 
 class TestScore:

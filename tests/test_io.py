@@ -19,13 +19,16 @@ from selqa.io import (
     emit_curve,
     emit_report,
     emit_sweep,
+    iter_predictions,
     join,
     load_gold,
+    load_gold_index,
     load_predictions,
     parse_report,
 )
 from selqa.metrics import RiskCoveragePoint, SweepRow
 from selqa.synth import SynthConfig, generate
+from selqa.textnorm import normalize_answer
 
 
 def write(path, text):
@@ -97,6 +100,13 @@ class TestPredictionDump:
         path.write_bytes((good % "a" + good % "b").encode() + bad)
         with pytest.raises(ParseError, match=r"p\.jsonl: line 3: invalid UTF-8"):
             load_predictions(str(path))
+
+    def test_iter_predictions_reads_lazily(self, tmp_path):
+        good = '{"question_id":"a","greedy":{"text":"x","logprobs":[-1]},"samples":[]}'
+        records = iter_predictions(write(tmp_path / "p.jsonl", good + "\n{not json\n"))
+        assert next(records).question_id == "a"  # line 2 is not parsed yet
+        with pytest.raises(ParseError, match="line 2"):
+            next(records)
 
     def test_blank_lines_skipped(self, tmp_path):
         text = '\n{"question_id":"a","greedy":{"text":"x","logprobs":[-1]},"samples":[]}\n\n'
@@ -185,6 +195,101 @@ class TestGoldFile:
         path = tmp_path / "g.json"
         dump_gold(gold, str(path))
         assert load_gold(str(path)) == list(gold)
+
+
+def multi_chunk_gold():
+    """A gold file of several 64 KiB chunks whose two-byte letters straddle chunk ends."""
+    records = [
+        {"question_id": f"q{i}", "answerable": i % 3 != 0,
+         "answers": [{"answer": "żółć " * (i % 7 + 1)}, {"answer": "x"}]}
+        for i in range(2000)
+    ]
+    data = json.dumps(records, ensure_ascii=False, indent=1).encode()
+    assert len(data) > 4 * 2**16
+    return records, data
+
+
+_VALID = '{"question_id": "q1", "answers": [{"answer": "a"}]}'
+
+
+class TestGoldStreaming:
+    """The gold file is read in chunks; results and errors match a whole-file parse."""
+
+    def test_records_across_chunks(self, tmp_path):
+        records, data = multi_chunk_gold()
+        path = tmp_path / "g.json"
+        path.write_bytes(data)
+        loaded = load_gold(str(path))
+        assert [g.question_id for g in loaded] == [r["question_id"] for r in records]
+        assert [[a.answer for a in g.annotations] for g in loaded] == [
+            [a["answer"] for a in r["answers"]] for r in records
+        ]
+        assert [g.answerable for g in loaded] == [r["answerable"] for r in records]
+
+    @pytest.mark.parametrize("at", [0.3, 0.6, 0.95])
+    def test_invalid_utf8_offset_past_the_first_chunk(self, tmp_path, at):
+        _, data = multi_chunk_gold()
+        cut = data.index(b'"x"', int(len(data) * at)) + 1
+        data = data[:cut] + b"\xff" + data[cut + 1:]
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        path = tmp_path / "g.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            load_gold(str(path))
+        assert str(err.value) == f"{path}: byte {cut}: invalid UTF-8: {whole.value}"
+
+    @pytest.mark.parametrize("at", [0.3, 0.6, 0.95])
+    def test_json_error_offset_past_the_first_chunk(self, tmp_path, at):
+        _, data = multi_chunk_gold()
+        cut = data.index(b"},", int(len(data) * at)) + 1
+        data = data[:cut] + b";" + data[cut + 1:]
+        text = data.decode("utf-8")
+        with pytest.raises(json.JSONDecodeError) as whole:
+            json.loads(text)
+        offset = len(text[: whole.value.pos].encode("utf-8"))
+        path = tmp_path / "g.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            load_gold(str(path))
+        assert str(err.value) == f"{path}: byte {offset}: invalid JSON: {whole.value.msg}"
+
+    @pytest.mark.parametrize("text", [
+        "", "  ", "[", "[}", "\ufeff[]", "[%s %s]" % (_VALID, _VALID), "[%s,]" % _VALID,
+        "[%s] x" % _VALID,
+    ])
+    def test_framing_errors_match_a_whole_file_parse(self, tmp_path, text):
+        path = write(tmp_path / "g.json", text)
+        with pytest.raises(json.JSONDecodeError) as whole:
+            json.loads(text)
+        with pytest.raises(ParseError) as err:
+            load_gold(path)
+        offset = len(text[: whole.value.pos].encode("utf-8"))
+        assert str(err.value) == f"{path}: byte {offset}: invalid JSON: {whole.value.msg}"
+
+    def test_not_an_array(self, tmp_path):
+        with pytest.raises(ParseError, match=r"g\.json: top level: gold file is not a JSON array"):
+            load_gold(write(tmp_path / "g.json", '{"question_id": "q1"}'))
+
+    def test_index_matches_load_gold(self, tmp_path):
+        _, data = multi_chunk_gold()
+        path = tmp_path / "g.json"
+        path.write_bytes(data)
+        index = load_gold_index(str(path))
+        expected = {
+            g.question_id: (
+                tuple(dict.fromkeys(normalize_answer(a.answer) for a in g.annotations)),
+                g.answerable,
+            )
+            for g in load_gold(str(path))
+        }
+        assert index == expected
+        assert list(index) == list(expected)
+
+    def test_index_rejects_a_duplicate_id(self, tmp_path):
+        data = [{"question_id": q, "answers": [{"answer": "x"}]} for q in ("a", "b", "a")]
+        with pytest.raises(DuplicateKeyError, match=r"^duplicate question_id in gold: 'a'$"):
+            load_gold_index(write(tmp_path / "g.json", json.dumps(data)))
 
 
 def prediction(qid):

@@ -9,6 +9,10 @@ from selqa.metrics import (
     accuracy_at_trigger,
     coverage_at_accuracy,
     ece,
+    method_points,
+    rank_methods,
+    ranked_curve,
+    report_from_rankings,
     risk_coverage_curve,
     roc_auc,
     threshold_sweep,
@@ -309,3 +313,24 @@ class TestBuildReport:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             build_report([], methods=["likelihood"])
+
+
+class TestSharedRanking:
+    """The report and the curves of evaluate read one ranking per method."""
+
+    def test_report_and_curve_from_one_ranking(self):
+        rng = random.Random(11)
+        rows = [
+            scored(f"q{i:03d}", rng.random() < 0.8, score=rng.choice([0.1, 0.4, 0.9]),
+                   correct=rng.random() < 0.5)
+            for i in range(30)
+        ]
+        rankings = rank_methods(rows, ["likelihood"])
+        report = report_from_rankings(rows, rankings, [60.0], "em", 10, {"k": "v"})
+        assert report == build_report(rows, ["likelihood"], [60.0], meta={"k": "v"})
+        points = method_points(rows, "likelihood")
+        assert ranked_curve(rankings["likelihood"]) == risk_coverage_curve(points)
+
+    def test_nothing_triggered_gives_an_empty_curve(self):
+        rankings = rank_methods([scored("a", False)], ["likelihood"])
+        assert ranked_curve(rankings["likelihood"]) == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from selqa.textnorm import normalize_answer, tokenize
+from selqa.textnorm import distinct_normalized, normalize_answer, tokenize
 
 from oracles import brute_normalize
 
@@ -53,6 +53,17 @@ class TestNormalize:
     def test_case_article_punctuation_insensitive(self):
         variants = ["the red apple.", "Red Apple", "red, apple", "a red apple!"]
         assert len({normalize_answer(v) for v in variants}) == 1
+
+
+class TestDistinctNormalized:
+    def test_first_occurrence_order(self):
+        raws = ["The cat", "dog", "cat.", "A dog", "bird", "the cat"]
+        assert distinct_normalized(raws) == ("cat", "dog", "bird")
+
+    @given(st.lists(st.sampled_from(["A cat", "cat", "Cat!", "dog", "", "the Dog"])))
+    def test_matches_normalizing_every_answer(self, raws):
+        expected = tuple(dict.fromkeys(normalize_answer(r) for r in raws))
+        assert distinct_normalized(raws) == expected
 
 
 class TestTokenize:
