@@ -13,8 +13,9 @@ it across threads never read each other's replies.
 
 An exchange writes all of its requests before it has read every reply, so a
 scorer sees requests pipelined and must answer each line with one line, in
-order. ``pairwise`` also keeps every score it has received in a run-wide
-table and never sends a pair twice, so a scorer must be a function of (a, b).
+order. ``score_matrix`` keeps every score it has received, for avg-similarity
+and verdicts alike, in a run-wide table and never sends a pair twice, so a
+scorer must be a function of (a, b).
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ from .errors import AdapterError
 from .similarity import SimilarityFn
 
 _quote = json.encoder.encode_basestring
+# Reads every JSON number as a float: an integer too long for one reads as
+# inf, which the [0, 1] check then rejects, instead of overflowing.
+_DECODER = json.JSONDecoder(parse_int=float)
 
 #: Most (a, b) scores the pair table holds; it is cleared whole when a call
 #: could take it past this. Full, it holds about 9 MiB when each record's
@@ -41,15 +45,16 @@ _TABLE_CAP = 2**17
 class ExternalSimilarity(SimilarityFn):
     """A SimilarityFn backed by one scorer subprocess speaking the line protocol.
 
-    similarity sends its one pair; pairwise sends the pairs its table lacks
-    as one pipelined exchange. The [0, 1] range check happens in the callers
-    (answer_similarity and the avg-similarity score), which see every score
-    the adapter returns.
+    similarity sends its one pair, outside the table; score_matrix sends the
+    pairs its table lacks as one pipelined exchange. The [0, 1] range check
+    is left to similarity.answer_similarities, which sees every score.
     """
 
     def __init__(self, command: str | list[str], name: str = "adapter") -> None:
         self.name = name
         argv = shlex.split(command) if isinstance(command, str) else list(command)
+        if not argv:
+            raise ValueError("the command names no program")
         try:
             self._proc = subprocess.Popen(
                 argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, bufsize=0
@@ -68,23 +73,21 @@ class ExternalSimilarity(SimilarityFn):
         with self._lock:
             return self._exchange([(candidate, reference)])[0]
 
-    def pairwise(self, answers: Sequence[str]) -> list[list[float]]:
+    def score_matrix(
+        self, candidates: Sequence[str], references: Sequence[str]
+    ) -> list[list[float]]:
         with self._lock:
-            if self._tabled + len(answers) ** 2 > _TABLE_CAP:
+            if self._tabled + len(candidates) * len(references) > _TABLE_CAP:
                 self._table.clear()
                 self._tabled = 0
-            table = self._table
-            missing: dict[tuple[str, str], None] = {}
-            for a in answers:
-                row = table.get(a, {})
-                for b in answers:
-                    if b not in row:
-                        missing[a, b] = None
+            rows = [self._table.setdefault(a, {}) for a in candidates]
+            missing = {(a, b): None for a, row in zip(candidates, rows)
+                       for b in references if b not in row}
             if missing:
                 for (a, b), score in zip(missing, self._exchange(list(missing))):
-                    table.setdefault(a, {})[b] = score
+                    self._table[a][b] = score
                 self._tabled += len(missing)
-            return [[row[b] for b in answers] for row in map(table.__getitem__, answers)]
+            return [[row[b] for b in references] for row in rows]
 
     def _exchange(self, pairs: list[tuple[str, str]]) -> list[float]:
         """Send one request per pair and parse the replies, in request order."""
@@ -185,16 +188,16 @@ class ExternalSimilarity(SimilarityFn):
 def _parse_reply(line: str) -> float:
     """The score in one reply line, or AdapterError naming what is wrong."""
     try:
-        response = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise AdapterError(f"adapter sent invalid JSON: {line!r}") from exc
+        response = _DECODER.decode(line)
+    except (ValueError, RecursionError) as exc:
+        raise AdapterError(f"adapter sent invalid JSON: {line[:200]!r}") from exc
     if not isinstance(response, dict):
-        raise AdapterError(f"adapter response is not an object: {line!r}")
+        raise AdapterError(f"adapter response is not an object: {line[:200]!r}")
     if "error" in response:
         raise AdapterError(f"adapter reported: {response['error']}")
     if "score" not in response:
-        raise AdapterError(f"adapter response has no score: {line!r}")
+        raise AdapterError(f"adapter response has no score: {line[:200]!r}")
     score = response["score"]
-    if isinstance(score, bool) or not isinstance(score, (int, float)):
-        raise AdapterError(f"adapter score is not a number: {score!r}")
-    return float(score)
+    if not isinstance(score, float):
+        raise AdapterError(f"adapter score is not a number: {repr(score)[:200]}")
+    return score

@@ -145,10 +145,13 @@ def _parse_targets(raw: str) -> list[float]:
 
 
 def _build_similarity(args: argparse.Namespace) -> SimilarityFn:
-    if args.adapter_cmd:
+    if args.adapter_cmd is not None:
         from .adapter import ExternalSimilarity
 
-        return ExternalSimilarity(args.adapter_cmd, name=args.adapter_name)
+        try:
+            return ExternalSimilarity(args.adapter_cmd, name=args.adapter_name)
+        except ValueError as exc:
+            raise UsageError(f"--adapter-cmd {args.adapter_cmd!r}: {exc}") from exc
     return BleuSimilarity(mode=args.sim_mode)
 
 

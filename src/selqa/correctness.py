@@ -3,7 +3,8 @@
 A prediction counts as correct when it matches at least one gold answer,
 either exactly (after normalization) or by clearing a similarity threshold.
 Text is normalized uniformly across all classifiers, so "A system restore"
-matches gold "system restore".
+matches gold "system restore". The similarity rule scores the prediction
+against every distinct gold answer in one answer_similarities call.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .records import GoldRecord
-from .similarity import BleuSimilarity, SimilarityFn, answer_similarity
+from .similarity import BleuSimilarity, SimilarityFn, answer_similarities
 from .textnorm import distinct_normalized, normalize_answer
 
 
@@ -66,5 +67,4 @@ class CorrectnessClassifier:
         if self.name == "em":
             return prediction in golds
         assert self.similarity is not None
-        best = max(answer_similarity(prediction, g, self.similarity) for g in golds)
-        return best >= self.threshold
+        return max(answer_similarities([prediction], golds, self.similarity)[0]) >= self.threshold

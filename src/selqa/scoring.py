@@ -13,9 +13,9 @@ All scores land in [0, 1] and rank "answer" over "abstain":
 
 The sampling scores read one grouping of a record's samples by normalized
 text; score_record builds it once per record, at its first sampling method.
-avg-bleu asks the similarity function for all pairs of a record's proper
-(non-abstaining) distinct answers in one SimilarityFn.pairwise call, applies
-the abstention override itself, and range-checks every returned score.
+avg-bleu scores a record's distinct answers against each other with one
+similarity.answer_similarities call, which applies the abstention override,
+makes one score_matrix call and checks every returned score.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from typing import Iterable, Sequence
 
 from .correctness import CorrectnessClassifier
-from .errors import AdapterError, JoinError
+from .errors import JoinError
 from .records import (
     ABSTENTION_MARKER,
     GoldRecord,
@@ -32,7 +32,7 @@ from .records import (
     SampledAnswer,
     ScoredPrediction,
 )
-from .similarity import BleuSimilarity, SimilarityFn, checked_score
+from .similarity import BleuSimilarity, SimilarityFn, answer_similarities
 from .textnorm import distinct_normalized, normalize_answer
 
 #: Names accepted by score requests; the avg method's report key follows the
@@ -101,28 +101,12 @@ def _avg_similarity(groups: _Groups, fn: SimilarityFn) -> float:
     total = math.fsum(weights)
     if total > 1.0 + 1e-9:
         raise ValueError(f"distinct-sample probabilities sum above 1 ({total})")
-    # Abstentions score 1 against each other and 0 against proper answers;
-    # only the proper answers reach the similarity function, in one call.
-    abstains = [ABSTENTION_MARKER in key for key in groups]
-    proper = [key for key, flag in zip(groups, abstains) if not flag]
-    rows = iter(_checked_shape(fn.pairwise(proper), len(proper), fn))
-    # fsum is exact, so the result does not depend on the order of the
-    # terms, and the zero terms of abstention/proper pairs can be left out.
-    terms: list[float] = []
-    for weight, flag in zip(weights, abstains):
-        if flag:
-            terms += [weight] * (len(weights) - len(proper))
-        else:
-            terms += [weight * checked_score(score, fn) for score in next(rows)]
+    keys = list(groups)
+    rows = answer_similarities(keys, keys, fn)
+    # fsum is exact, so the result does not depend on the order of the terms.
+    terms = [weight * score for weight, row in zip(weights, rows) for score in row]
     # With similarities in [0, 1] the score is at most the weight sum.
     return min(math.fsum(terms) / len(weights), 1.0)
-
-
-def _checked_shape(matrix: list[list[float]], k: int, fn: SimilarityFn) -> list[list[float]]:
-    """The pairwise result of k answers, or AdapterError unless it is k x k."""
-    if len(matrix) != k or any(len(row) != k for row in matrix):
-        raise AdapterError(f"similarity {fn.name!r} pairwise result is not {k} x {k}")
-    return matrix
 
 
 def trigger_decision(greedy: SampledAnswer) -> bool:

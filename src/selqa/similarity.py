@@ -3,13 +3,13 @@
 Everything here works on normalized text: the callers that hold raw answers
 (scoring and correctness) normalize each answer once, and similarity
 functions score a (candidate, reference) pair of normalized answers into
-[0, 1]. ``SimilarityFn.pairwise`` scores every ordered pair of a list of
-answers in one call, the seam a batching scorer overrides; its default asks
-``similarity`` once per pair. The built-in scorer is smoothed sentence BLEU,
-computed from per-answer n-gram tables, so its pairwise scoring tokenizes and
-counts each answer once; it keeps no cache between calls. External
-model-backed scorers plug in through :mod:`selqa.adapter` and are held to
-the same output contract.
+[0, 1]. ``SimilarityFn.score_matrix`` scores candidates against references
+in one call, the seam a batching scorer overrides. ``answer_similarities``,
+the one checked entry point, applies the abstention override and checks
+what score_matrix returns. The built-in scorer is smoothed sentence BLEU
+from per-answer n-gram tables, built once per answer per call, with no
+cache between calls. External model-backed scorers plug in through
+:mod:`selqa.adapter` and are held to the same output contract.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ def bleu(candidate: Sequence[str], reference: Sequence[str]) -> float:
     Any change to this smoothing changes downstream average-similarity
     scores, so it is pinned by fixtures.
     """
-    return _bleu_tables(_ngram_table(candidate), _ngram_table(reference))
-
-
-def _bleu_tables(cand: _Table, ref: _Table) -> float:
+    cand, ref = _ngram_table(candidate), _ngram_table(reference)
     return _bleu(cand[0], ref[0], _overlaps(cand, ref))
 
 
@@ -109,14 +106,15 @@ class SimilarityFn(ABC):
     def similarity(self, candidate: str, reference: str) -> float:
         """Score a normalized candidate against a normalized reference."""
 
-    def pairwise(self, answers: Sequence[str]) -> list[list[float]]:
-        """Raw similarity of every ordered pair of normalized answers, row-major.
+    def score_matrix(
+        self, candidates: Sequence[str], references: Sequence[str]
+    ) -> list[list[float]]:
+        """Raw similarity of each candidate (row) to each reference (column).
 
-        Row i holds similarity(answers[i], answers[j]) for every j, diagonal
-        included. The default asks similarity once per pair in that order;
-        a scorer that can batch overrides it.
+        The default asks similarity once per cell, row-major; a scorer that
+        can batch overrides it.
         """
-        return [[self.similarity(a, b) for b in answers] for a in answers]
+        return [[self.similarity(a, b) for b in references] for a in candidates]
 
     def close(self) -> None:
         """Release any held resources (no-op for pure scorers)."""
@@ -139,49 +137,60 @@ class BleuSimilarity(SimilarityFn):
         self.mode = mode
 
     def similarity(self, candidate: str, reference: str) -> float:
-        return _bleu_tables(self._table(candidate), self._table(reference))
+        return bleu(tokenize(candidate, self.mode), tokenize(reference, self.mode))
 
-    def pairwise(self, answers: Sequence[str]) -> list[list[float]]:
-        # Each answer is tokenized and counted once; each unordered pair's
-        # overlaps are counted once and serve both of its directions.
-        tables = [self._table(answer) for answer in answers]
-        matrix = [[0.0] * len(tables) for _ in tables]
-        for i, a in enumerate(tables):
-            for j in range(i, len(tables)):
-                b = tables[j]
+    def score_matrix(
+        self, candidates: Sequence[str], references: Sequence[str]
+    ) -> list[list[float]]:
+        cands = [_ngram_table(tokenize(answer, self.mode)) for answer in candidates]
+        if candidates != references:
+            refs = [_ngram_table(tokenize(answer, self.mode)) for answer in references]
+            return [[_bleu(a[0], b[0], _overlaps(a, b)) for b in refs] for a in cands]
+        # A square: each unordered pair's overlaps are counted once and serve
+        # both of its directions.
+        matrix = [[0.0] * len(cands) for _ in cands]
+        for i, a in enumerate(cands):
+            for j in range(i, len(cands)):
+                b = cands[j]
                 overlaps = _overlaps(a, b)
                 matrix[i][j] = _bleu(a[0], b[0], overlaps)
                 matrix[j][i] = _bleu(b[0], a[0], overlaps)
         return matrix
 
-    def _table(self, answer: str) -> _Table:
-        return _ngram_table(tokenize(answer, self.mode))
-
 
 def answer_similarity(candidate: str, reference: str, fn: SimilarityFn) -> float:
-    """Similarity of two normalized answers with the abstention override applied.
+    """answer_similarities of one pair of normalized answers."""
+    return answer_similarities([candidate], [reference], fn)[0][0]
 
-    Both sides must already be normalized (see textnorm.normalize_answer).
-    An abstention (text containing "unanswerable") has similarity 0 to any
-    proper answer and 1 to another abstention; only proper pairs reach the
-    underlying similarity function, whose output is range-checked rather
-    than trusted.
+
+def answer_similarities(
+    candidates: Sequence[str], references: Sequence[str], fn: SimilarityFn
+) -> list[list[float]]:
+    """Similarity of each normalized candidate to each normalized reference.
+
+    An abstention (text containing "unanswerable") scores 0 against a proper
+    answer and 1 against another abstention. The proper answers go to one
+    fn.score_matrix call, whose result is checked, not trusted: anything but
+    a matrix of its shape holding reals in [0, 1], bool excluded, is an AdapterError.
     """
-    cand_abstains = ABSTENTION_MARKER in candidate
-    ref_abstains = ABSTENTION_MARKER in reference
-    if cand_abstains and ref_abstains:
-        return 1.0
-    if cand_abstains or ref_abstains:
-        return 0.0
-    return checked_score(fn.similarity(candidate, reference), fn)
-
-
-def checked_score(score: object, fn: SimilarityFn) -> float:
-    """A similarity score as a float, or AdapterError unless it is a real in [0, 1].
-
-    bool is rejected although it subclasses int: True is not a score of 1.
-    NaN and infinities fail the range test.
-    """
-    if isinstance(score, (int, float)) and not isinstance(score, bool) and 0.0 <= score <= 1.0:
-        return float(score)
-    raise AdapterError(f"similarity {fn.name!r} returned {score!r}, outside the [0, 1] contract")
+    cand_abstains = [ABSTENTION_MARKER in answer for answer in candidates]
+    ref_abstains = [ABSTENTION_MARKER in answer for answer in references]
+    proper_cands = [a for a, flag in zip(candidates, cand_abstains) if not flag]
+    proper_refs = [b for b, flag in zip(references, ref_abstains) if not flag]
+    raw = fn.score_matrix(proper_cands, proper_refs)
+    m, n = len(proper_cands), len(proper_refs)
+    if len(raw) != m or any(len(row) != n for row in raw):
+        raise AdapterError(f"similarity {fn.name!r} score_matrix result is not {m} x {n}")
+    for row in raw:
+        for score in row:
+            if (type(score) is bool or not isinstance(score, (float, int))
+                    or not 0.0 <= score <= 1.0):
+                raise AdapterError(f"similarity {fn.name!r} returned {score!r}, "
+                                   "outside the [0, 1] contract")
+    rows = iter(raw)
+    matrix = []
+    for flag in cand_abstains:
+        scores = map(float, () if flag else next(rows))
+        matrix.append([float(flag) if other else 0.0 if flag else next(scores)
+                       for other in ref_abstains])
+    return matrix

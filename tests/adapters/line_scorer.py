@@ -9,6 +9,8 @@ selects the behavior:
     jaccard           word-set Jaccard overlap
     const:<x>         always <x> (floats outside [0, 1] test the range check)
     json:<v>          always the JSON value <v> as the score (e.g. true)
+    raw:<path>        always the text of the file <path>, verbatim, as the
+                      whole reply line (for replies too long for argv)
     pad:<n>           jaccard, each reply padded with n more bytes
     error             always {"error": "..."}
     garbage           non-JSON reply
@@ -67,6 +69,9 @@ def main() -> int:
                 return 7
             line = "not json at all" if fault == "garbage" else json.dumps(
                 {"error": "scorer exploded"})
+        elif mode.startswith("raw:"):
+            with open(mode.split(":", 1)[1], encoding="utf-8") as f:
+                line = f.read()
         else:
             line = json.dumps(reply(mode, json.loads(raw)))
         sys.stdout.write(line + "\n")

@@ -1,19 +1,33 @@
 import json
+import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import pytest
 
 import selqa.adapter
-from selqa import AdapterError, answer_similarity
+from selqa import AdapterError, CorrectnessClassifier, PredictionRecord, answer_similarity
 from selqa.adapter import ExternalSimilarity
+from selqa.cli import main
+from selqa.scoring import score_joined
 
-from conftest import DATA_DIR, adapter_cmd, run_python
+from conftest import DATA_DIR, adapter_cmd, ans, run_python
 
 
 def jaccard(a, b):
     wa, wb = set(a.split()), set(b.split())
     return len(wa & wb) / len(wa | wb) if wa | wb else 0.0
+
+
+# Replies past what Python reads from JSON as is: an integer too large for a
+# float, one past the digit limit of int(), and nesting past the stack.
+_UNREADABLE = [
+    ('{"score": 1' + "0" * 400 + "}", r"'bad' returned inf, outside the \[0, 1\] contract"),
+    ('{"score": ' + "1" * 5001 + "}", r"'bad' returned inf, outside the \[0, 1\] contract"),
+    ("[" * 100_000 + "]" * 100_000, r"adapter sent invalid JSON: '\[\[\["),
+]
+_UNREADABLE_IDS = ["401-digits", "5001-digits", "nested-100000"]
 
 
 class TestExternalSimilarity:
@@ -39,6 +53,27 @@ class TestExternalSimilarity:
         with ExternalSimilarity(adapter_cmd(f"json:{literal}"), name="bad") as fn:
             with pytest.raises(AdapterError, match="not a number"):
                 fn.similarity("a", "b")
+
+    @pytest.mark.parametrize("reply, message", _UNREADABLE, ids=_UNREADABLE_IDS)
+    def test_unreadable_score_rejected(self, tmp_path, reply, message):
+        (tmp_path / "reply").write_text(reply)
+        with ExternalSimilarity(adapter_cmd(f"raw:{tmp_path / 'reply'}"), name="bad") as fn:
+            with pytest.raises(AdapterError, match=message) as caught:
+                answer_similarity("a", "b", fn)
+        assert len(str(caught.value)) < 300  # the reply is quoted cut short
+
+    @pytest.mark.parametrize("reply, message", _UNREADABLE, ids=_UNREADABLE_IDS)
+    def test_unreadable_score_exits_3_through_the_cli(self, tmp_path, capsys, reply, message):
+        (tmp_path / "reply").write_text(reply)
+        predictions = DATA_DIR / "golden_predictions.jsonl"
+        code = main(["evaluate", "--predictions", str(predictions),
+                     "--gold", str(DATA_DIR / "golden_gold.json"),
+                     "--adapter-cmd", " ".join(adapter_cmd(f"raw:{tmp_path / 'reply'}")),
+                     "--adapter-name", "bad", "--methods", "avg-bleu"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"adapter error: {predictions}: line 1: question_id 'q000000': ")
+        assert re.search(message, err)
 
     def test_reported_error_surfaces(self):
         with ExternalSimilarity(adapter_cmd("error"), name="boom") as fn:
@@ -66,7 +101,7 @@ class TestExternalSimilarity:
         fn = ExternalSimilarity(adapter_cmd("pad:2048"), name="pad")
         executor = ThreadPoolExecutor(max_workers=1)
         try:
-            future = executor.submit(fn.pairwise, answers)
+            future = executor.submit(fn.score_matrix, answers, answers)
             _, pending = wait([future], timeout=60)
         finally:
             fn.close()
@@ -78,10 +113,13 @@ class TestExternalSimilarity:
         monkeypatch.setattr(selqa.adapter, "_TABLE_CAP", 12)
         log = tmp_path / "requests.jsonl"
         with ExternalSimilarity(adapter_cmd("jaccard", log), name="jac") as fn:
-            fn.pairwise(["a", "b", "c"])  # 9 pairs tabled
-            fn.pairwise(["a", "b"])  # 9 + 4 > 12: cleared, all 4 sent again
-            assert fn.pairwise(["b", "a"]) == [[1.0, 0.0], [0.0, 1.0]]  # all 4 known
-        assert len(log.read_text().splitlines()) == 9 + 4
+            fn.score_matrix(["a", "b", "c"], ["a", "b", "c"])  # 9 pairs tabled
+            fn.score_matrix(["a", "b"], ["a", "b"])  # 9 + 4 > 12: cleared, all 4 sent again
+            assert fn.score_matrix(["b", "a"], ["b", "a"]) == [[1.0, 0.0], [0.0, 1.0]]  # known
+            # a rectangle: 4 + 2 <= 12, and only (a, c) is new
+            assert fn.score_matrix(["a"], ["b", "c"]) == [[0.0, 0.0]]
+            fn.score_matrix(["c", "b", "a"], ["a", "b", "c"])  # 5 + 9 > 12: cleared
+        assert len(log.read_text().splitlines()) == 9 + 4 + 1 + 9
 
     @pytest.mark.parametrize("mode, message", [
         ("error-after:4", "adapter reported: scorer exploded"),
@@ -92,7 +130,8 @@ class TestExternalSimilarity:
         # the first four replies are good; the fifth of nine pairs fails
         with ExternalSimilarity(adapter_cmd(mode), name="bad") as fn:
             with pytest.raises(AdapterError, match=message):
-                fn.pairwise(["red apple", "apple", "red car"])
+                answers = ["red apple", "apple", "red car"]
+                fn.score_matrix(answers, answers)
 
     @pytest.mark.parametrize("mode", ["error-after:2", "garbage-after:2", "die-after:2"])
     def test_fault_in_a_batch_exits_3_through_the_cli(self, mode):
@@ -112,6 +151,44 @@ class TestExternalSimilarity:
     def test_launch_failure(self):
         with pytest.raises(AdapterError, match="failed to launch"):
             ExternalSimilarity(["/nonexistent/scorer-binary"], name="ghost")
+
+
+def logged_requests(log) -> list[tuple[str, str]]:
+    """The (a, b) pairs a line_scorer.py request log holds, in arrival order."""
+    return [(r["a"], r["b"]) for r in map(json.loads, log.read_text("utf-8").splitlines())]
+
+
+class TestRecordExchanges:
+    """Under adapter-threshold a record costs at most two exchanges."""
+
+    def test_verdict_row_is_one_exchange_of_unscored_pairs(self, tmp_path):
+        log = tmp_path / "requests.jsonl"
+        samples = tuple(ans(t, math.log(0.2)) for t in ["Red apple", "apple", "unanswerable"])
+        record = PredictionRecord("q", ans("red apple", -0.1), samples)
+        golds = ("apple", "red car", "unanswerable", "red apple")
+        with ExternalSimilarity(adapter_cmd("jaccard", log), name="jaccard") as fn:
+            exchanges = []
+            send = fn._exchange
+            fn._exchange = lambda pairs: exchanges.append(pairs) or send(pairs)
+            clf = CorrectnessClassifier.adapter_threshold(fn, 0.9)
+            row = score_joined(record, golds, True, ["avg-bleu"], fn, (clf,))
+        proper = ["red apple", "apple"]
+        assert exchanges == [
+            [(a, b) for a in proper for b in proper],  # the avg-similarity square
+            [("red apple", "red car")],  # the verdict row, less the pairs known
+        ]
+        assert logged_requests(log) == exchanges[0] + exchanges[1]
+        assert row.correct == {clf.name: True}  # ("red apple", "red apple") scores 1
+
+    def test_no_pair_is_sent_twice_in_a_run(self, tmp_path):
+        log = tmp_path / "requests.jsonl"
+        code = main(["evaluate", "--predictions", str(DATA_DIR / "golden_predictions.jsonl"),
+                     "--gold", str(DATA_DIR / "golden_gold.json"),
+                     "--adapter-cmd", " ".join(adapter_cmd("jaccard", log)),
+                     "--classifier", "adapter-threshold", "--out", str(tmp_path / "report")])
+        assert code == 0
+        requests = logged_requests(log)
+        assert len(requests) == len(set(requests)) > 0
 
 
 class TestAdapterPool:
@@ -136,7 +213,7 @@ class TestAdapterPool:
         assert results == [pytest.approx(1 / (1 + i % 5)) for i in range(40)]
 
     def test_parallel_pairwise_consistent(self):
-        # Threads mixing pairwise batches and single pairs on one scorer:
+        # Threads mixing square batches and single pairs on one scorer:
         # each batch must get its own replies, in order.
         batches = [[f"shared w{i % 7}", "shared", f"w{i % 7} other"] for i in range(24)]
         interval = sys.getswitchinterval()
@@ -144,7 +221,7 @@ class TestAdapterPool:
         fn = ExternalSimilarity(adapter_cmd("jaccard"), name="jac")
         executor = ThreadPoolExecutor(max_workers=8)
         try:
-            futures = [executor.submit(fn.pairwise, b) for b in batches]
+            futures = [executor.submit(fn.score_matrix, b, b) for b in batches]
             futures += [executor.submit(fn.similarity, b[0], b[2]) for b in batches]
             _, pending = wait(futures, timeout=60)
         finally:
@@ -160,7 +237,7 @@ class TestAdapterPool:
         answers = ['say "hi"', "back\\slash", "tab\tand\nnewline", "café żółć", "\u2028"]
         log = tmp_path / "requests.jsonl"
         with ExternalSimilarity(adapter_cmd("jaccard", log), name="jac") as fn:
-            fn.pairwise(answers)
+            fn.score_matrix(answers, answers)
         expected = [json.dumps({"a": a, "b": b}, ensure_ascii=False)
                     for a in answers for b in answers]
         assert log.read_text(encoding="utf-8").split("\n") == expected + [""]

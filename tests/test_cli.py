@@ -105,6 +105,20 @@ class TestEvaluate:
         assert code == 1
         assert "unknown scoring method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand", ["evaluate", "score", "sweep"])
+    @pytest.mark.parametrize("command, reason", [
+        ("'unterminated", "--adapter-cmd \"'unterminated\": No closing quotation"),
+        ("   ", "--adapter-cmd '   ': the command names no program"),
+        ("", "--adapter-cmd '': the command names no program"),
+    ])
+    def test_adapter_cmd_without_argv_rejected_before_io(
+        self, tmp_path, capsys, subcommand, command, reason
+    ):
+        code = run(subcommand, "--predictions", str(tmp_path / "ghost.jsonl"),
+                   "--gold", str(tmp_path / "ghost.json"), "--adapter-cmd", command)
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {reason}\n"
+
     def test_bad_targets_rejected(self, capsys):
         code = run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
                    "--acc-targets", "0,60")

@@ -75,14 +75,15 @@ class TestSimilarityCorrect:
         class Counting(BleuSimilarity):
             calls = []
 
-            def similarity(self, candidate, reference):
-                self.calls.append((candidate, reference))
-                return super().similarity(candidate, reference)
+            def score_matrix(self, candidates, references):
+                self.calls.append((list(candidates), list(references)))
+                return super().score_matrix(candidates, references)
 
         fn = Counting()
-        g = gold("Red apple", "red apple", "The red apple.", "apple", "red apple")
+        g = gold("Red apple", "red apple", "The red apple.", "apple", "unanswerable", "red apple")
         assert not sim_at(fn, 0.9).verdict("red car", g)
-        assert fn.calls == [("red car", "red apple"), ("red car", "apple")]
+        # one call for the whole row, abstentions left out
+        assert fn.calls == [(["red car"], ["red apple", "apple"])]
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):

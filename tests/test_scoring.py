@@ -209,10 +209,13 @@ class TestAvgBleu:
                 ("", "red car"),
             ]
 
-    @pytest.mark.parametrize("matrix", [[[1.0]], [[1.0, 0.5], [0.5]], [[1.0, True], [0.5, 1.0]]])
+    @pytest.mark.parametrize("matrix", [
+        [[1.0]], [[1.0, 0.5], [0.5]], [[1.0, True], [0.5, 1.0]],
+        [[1.0, 0.5, 0.5], [0.5, 1.0, 0.5]],  # 2 x 3 for a square of two
+    ])
     def test_pairwise_result_is_checked(self, matrix):
         class Fixed(JaccardSimilarity):
-            def pairwise(self, answers):
+            def score_matrix(self, candidates, references):
                 return matrix
 
         with pytest.raises(AdapterError, match="'jaccard'"):

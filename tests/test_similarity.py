@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from selqa import AdapterError, BleuSimilarity, SimilarityFn, answer_similarity, bleu
+from selqa.similarity import answer_similarities
 from selqa.textnorm import normalize_answer
 
 from oracles import brute_bleu
@@ -83,9 +84,19 @@ class TestBleuOracle:
     @pytest.mark.parametrize("mode", ["word", "char"])
     @given(answers=st.lists(_oracle_answers, max_size=6))
     def test_pairwise(self, mode, answers):
+        # the square case: each unordered pair's overlaps serve both directions
         tokens = [_oracle_tokens(answer, mode) for answer in answers]
         expected = [[brute_bleu(cand, ref) for ref in tokens] for cand in tokens]
-        assert BleuSimilarity(mode).pairwise(answers) == expected
+        assert BleuSimilarity(mode).score_matrix(answers, answers) == expected
+        assert BleuSimilarity(mode).score_matrix(answers, list(answers)) == expected
+
+    @pytest.mark.parametrize("mode", ["word", "char"])
+    @given(candidates=st.lists(_oracle_answers, max_size=5),
+           references=st.lists(_oracle_answers, max_size=5))
+    def test_score_matrix_rectangle(self, mode, candidates, references):
+        expected = [[brute_bleu(_oracle_tokens(a, mode), _oracle_tokens(b, mode))
+                     for b in references] for a in candidates]
+        assert BleuSimilarity(mode).score_matrix(candidates, references) == expected
 
 
 class CountingSimilarity(SimilarityFn):
@@ -102,16 +113,27 @@ class CountingSimilarity(SimilarityFn):
 
 
 class TestPairwiseDefault:
+    """The default score_matrix: one similarity call per cell, row-major."""
+
     def test_one_call_per_ordered_pair_row_major(self):
         fn = CountingSimilarity()
         answers = ["red apple", "", "cat", "red apple"]
-        matrix = fn.pairwise(answers)
+        matrix = fn.score_matrix(answers, answers)
         assert fn.calls == [(a, b) for a in answers for b in answers]
         assert matrix == [[1.0 / (1 + len(a))] * len(answers) for a in answers]
 
+    def test_one_call_per_cell_of_a_rectangle(self):
+        fn = CountingSimilarity()
+        candidates, references = ["red apple", "cat"], ["cat", "", "dog"]
+        matrix = fn.score_matrix(candidates, references)
+        assert fn.calls == [(a, b) for a in candidates for b in references]
+        assert matrix == [[1.0 / (1 + len(a))] * 3 for a in candidates]
+
     def test_no_answers_no_calls(self):
         fn = CountingSimilarity()
-        assert fn.pairwise([]) == []
+        assert fn.score_matrix([], []) == []
+        assert fn.score_matrix([], ["cat"]) == []
+        assert fn.score_matrix(["cat", "dog"], []) == [[], []]
         assert fn.calls == []
 
 
@@ -165,6 +187,75 @@ class TestAnswerSimilarity:
     def test_diagonal_all_ones_without_abstentions(self):
         for answer in ["yes", "red apple", "blue car", "cat on table"]:
             assert answer_similarity(answer, answer, BleuSimilarity()) == 1.0
+
+
+class FixedMatrix(SimilarityFn):
+    """Returns one fixed score_matrix result and records what it was asked."""
+
+    name = "fixed"
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.calls = []
+
+    def similarity(self, candidate, reference):
+        raise AssertionError("only score_matrix is called")
+
+    def score_matrix(self, candidates, references):
+        self.calls.append((list(candidates), list(references)))
+        return self.matrix
+
+
+class TestAnswerSimilarities:
+    def test_abstentions_scored_without_the_function(self):
+        candidates = ["red apple", "unanswerable", "cat"]
+        references = ["that is unanswerable", "cat", "red car"]
+        fn = FixedMatrix([[0.25, 0.5], [0.75, 1.0]])
+        assert answer_similarities(candidates, references, fn) == [
+            [0.0, 0.25, 0.5],
+            [1.0, 0.0, 0.0],
+            [0.0, 0.75, 1.0],
+        ]
+        # one call, over the proper answers only
+        assert fn.calls == [(["red apple", "cat"], ["cat", "red car"])]
+
+    @pytest.mark.parametrize("mode", ["word", "char"])
+    @given(candidates=st.lists(_oracle_answers | st.just("that is unanswerable"), max_size=5),
+           references=st.lists(_oracle_answers | st.just("unanswerable"), max_size=5))
+    def test_matches_the_rule_pair_by_pair(self, mode, candidates, references):
+        fn = BleuSimilarity(mode)
+
+        def expected(a, b):
+            if "unanswerable" in a or "unanswerable" in b:
+                return float("unanswerable" in a and "unanswerable" in b)
+            return fn.similarity(a, b)
+
+        for refs in (references, candidates):  # a rectangle, then a square
+            assert answer_similarities(candidates, refs, fn) == [
+                [expected(a, b) for b in refs] for a in candidates
+            ]
+
+    def test_scores_are_floats(self):
+        fn = FixedMatrix([[1, 0]])
+        rows = answer_similarities(["a"], ["b", "c"], fn)
+        assert rows == [[1.0, 0.0]] and all(type(x) is float for x in rows[0])
+
+    @pytest.mark.parametrize("matrix", [
+        [],
+        [[0.5, 0.5, 0.5]],  # a row too few
+        [[0.5, 0.5, 0.5], [0.5, 0.5]],  # a row too short
+        [[0.5, 0.5]] * 3,  # transposed
+        [[0.5, 0.5, 0.5]] * 3,  # the square of all three candidates
+    ])
+    def test_shape_is_checked(self, matrix):
+        # two proper candidates against three proper references
+        with pytest.raises(AdapterError, match=r"'fixed' score_matrix result is not 2 x 3"):
+            answer_similarities(["a", "b", "unanswerable"], ["c", "d", "e"], FixedMatrix(matrix))
+
+    @pytest.mark.parametrize("score", [1.5, -0.1, float("nan"), float("inf"), True, "1", None])
+    def test_range_is_checked(self, score):
+        with pytest.raises(AdapterError, match=r"\[0, 1\] contract"):
+            answer_similarities(["a"], ["b", "c"], FixedMatrix([[0.5, score]]))
 
 
 class TestCharMode:
