@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,11 @@ ADAPTER_SCRIPT = Path(__file__).parent / "adapters" / "line_scorer.py"
 def adapter_cmd(mode: str = "em", *extra: object) -> list[str]:
     """Launch line_scorer.py in a mode; extra arguments (a request log) follow."""
     return [sys.executable, str(ADAPTER_SCRIPT), mode, *map(str, extra)]
+
+
+def logged_requests(log: Path) -> list[tuple[str, str]]:
+    """The (a, b) pairs a line_scorer.py request log holds, in arrival order."""
+    return [(r["a"], r["b"]) for r in map(json.loads, log.read_text("utf-8").splitlines())]
 
 
 def run_python(args: list[str], **kwargs) -> subprocess.CompletedProcess:

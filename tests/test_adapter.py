@@ -12,7 +12,7 @@ from selqa.adapter import ExternalSimilarity
 from selqa.cli import main
 from selqa.scoring import score_joined
 
-from conftest import DATA_DIR, adapter_cmd, ans, run_python
+from conftest import DATA_DIR, adapter_cmd, ans, logged_requests, run_python
 
 
 def jaccard(a, b):
@@ -129,8 +129,8 @@ class TestExternalSimilarity:
     def test_fault_in_the_middle_of_a_batch(self, mode, message):
         # the first four replies are good; the fifth of nine pairs fails
         with ExternalSimilarity(adapter_cmd(mode), name="bad") as fn:
+            answers = ["red apple", "apple", "red car"]
             with pytest.raises(AdapterError, match=message):
-                answers = ["red apple", "apple", "red car"]
                 fn.score_matrix(answers, answers)
 
     @pytest.mark.parametrize("mode", ["error-after:2", "garbage-after:2", "die-after:2"])
@@ -151,11 +151,6 @@ class TestExternalSimilarity:
     def test_launch_failure(self):
         with pytest.raises(AdapterError, match="failed to launch"):
             ExternalSimilarity(["/nonexistent/scorer-binary"], name="ghost")
-
-
-def logged_requests(log) -> list[tuple[str, str]]:
-    """The (a, b) pairs a line_scorer.py request log holds, in arrival order."""
-    return [(r["a"], r["b"]) for r in map(json.loads, log.read_text("utf-8").splitlines())]
 
 
 class TestRecordExchanges:

@@ -1,4 +1,3 @@
-import json
 import math
 import random
 from collections import Counter
@@ -33,7 +32,7 @@ from selqa.scoring import (
 )
 from selqa.textnorm import normalize_answer
 
-from conftest import adapter_cmd, ans
+from conftest import adapter_cmd, ans, logged_requests
 from oracles import brute_avg_bleu
 
 # Abstentions, case and punctuation variants, paraphrases, and texts that
@@ -47,11 +46,6 @@ _VARIANT_TEXTS = [
 _sample_texts = st.one_of(
     st.sampled_from(_VARIANT_TEXTS), st.text(alphabet="ab .!-A", max_size=8)
 )
-
-
-def logged_requests(log) -> list[tuple[str, str]]:
-    """The (a, b) pairs a line_scorer.py request log holds, in arrival order."""
-    return [(r["a"], r["b"]) for r in map(json.loads, log.read_text("utf-8").splitlines())]
 
 
 class JaccardSimilarity(SimilarityFn):
