@@ -36,6 +36,10 @@ _quote = json.encoder.encode_basestring
 # inf, which the [0, 1] check then rejects, instead of overflowing.
 _DECODER = json.JSONDecoder(parse_int=float)
 
+#: Seconds to wait for a scorer that closed its output to exit, so that
+#: the error can give its exit status.
+_REAP_WAIT = 1.0
+
 #: Most (a, b) scores the pair table holds; it is cleared whole when a call
 #: could take it past this. Full, it holds about 9 MiB when each record's
 #: answers are new ones, strings included.
@@ -108,9 +112,15 @@ class ExternalSimilarity(SimilarityFn):
                 raise AdapterError(f"adapter pipe broke: {exc}") from exc
             scores.append(_parse_reply(line))
         if len(scores) < len(pairs):
-            code = self._proc.poll()
-            raise AdapterError(f"adapter closed its output (exit status {code})")
+            raise AdapterError(f"adapter closed its output ({self._status()})")
         return scores
+
+    def _status(self) -> str:
+        """The scorer's exit status, once it exits within _REAP_WAIT seconds."""
+        try:
+            return f"exit status {self._proc.wait(timeout=_REAP_WAIT)}"
+        except subprocess.TimeoutExpired:
+            return "still running"
 
     def _transfer(self, payload: bytes, count: int) -> list[bytes]:
         """Write the payload and read up to count reply lines, neither blocking the other.

@@ -17,8 +17,9 @@ Errors are reported in that order. A gold error comes first. After it, the
 first failing dump line wins, whether it fails to parse, repeats an id,
 cannot be scored (exit 2) or breaks the adapter (exit 3), so lines before
 it have already been scored, adapter requests included. The join summary
-is printed once the last line is read. Outputs are written atomically
-(temp file + rename) only after that, and are byte-identical across runs.
+is printed once the last line is read. Outputs are written only after that,
+all or none (every temp file written, then all renamed), and are
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -192,21 +193,45 @@ def _located(predictions_path: str, record: PredictionRecord, exc: Exception) ->
     return f"{predictions_path}: line {record.line}: question_id {record.question_id!r}: {exc}"
 
 
-def _write_atomic(data: bytes, out: str | None) -> None:
-    """Write to a temp file and rename, so failures leave nothing behind."""
-    if out is None:
-        sys.stdout.write(data.decode("utf-8"))
-        return
-    directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".selqa-")
+def _write_outputs(outputs: Sequence[tuple[bytes, str | None]]) -> None:
+    """Write every output, or none: each to a temp file, then all renamed.
+
+    An output without a path goes to stdout once the files are in place.
+    Each temp file sits beside its target and is named after it, so a name
+    the file system cannot take fails before anything is renamed. An error
+    names the requested path, never a temp file, and leaves no temp file.
+    """
+    staged: list[tuple[str, str]] = []
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, out)
-    except BaseException:
-        if os.path.exists(tmp):
+        for data, out in outputs:
+            if out is None:
+                continue
+            directory, name = os.path.split(os.path.abspath(out))
+            try:
+                fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.")
+            except OSError as exc:
+                raise _naming(exc, out) from exc
+            staged.append((tmp, out))
+            with os.fdopen(fd, "wb") as f:
+                f.write(data)
+        while staged:
+            tmp, out = staged[-1]
+            try:
+                os.replace(tmp, out)
+            except OSError as exc:
+                raise _naming(exc, out) from exc
+            staged.pop()
+    finally:
+        for tmp, _ in staged:
             os.unlink(tmp)
-        raise
+    for data, out in outputs:
+        if out is None:
+            sys.stdout.write(data.decode("utf-8"))
+
+
+def _naming(exc: OSError, path: str) -> OSError:
+    """exc's error, reported against path."""
+    return OSError(exc.errno, exc.strerror, path)
 
 
 def _score_joined(
@@ -264,8 +289,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 str(curve_dir / f"{_safe_name(method)}.csv"),
             ))
     # Everything computed before anything is written: no partial artifacts.
-    for data, out in outputs:
-        _write_atomic(data, out)
+    _write_outputs(outputs)
     return 0
 
 
@@ -303,7 +327,7 @@ def cmd_score(args: argparse.Namespace) -> int:
             finally:
                 records.close()
     lines = [json.dumps(row, ensure_ascii=False, separators=(",", ":")) for row in rows]
-    _write_atomic(("\n".join(lines) + "\n").encode("utf-8") if lines else b"", args.out)
+    _write_outputs([(("\n".join(lines) + "\n").encode("utf-8") if lines else b"", args.out)])
     return 0
 
 
@@ -316,7 +340,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         method: metrics.threshold_sweep(metrics.method_points(scored, method, classifier.name))
         for method in methods
     }
-    _write_atomic(selqa_io.emit_sweep(sweeps, args.format), args.out)
+    _write_outputs([(selqa_io.emit_sweep(sweeps, args.format), args.out)])
     return 0
 
 

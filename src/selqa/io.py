@@ -7,6 +7,15 @@ shape of crowd-sourced VQA annotation releases: per-annotation answerable
 flags default from the record-level flag when absent, and the record-level
 flag is the OR of the annotation flags when only those exist.
 
+A dump line is decoded and then accepted in a few whole-record passes that
+run in C (_accepted_record): one type-set test per kind of field, max and
+sum over all of the record's logprobs, and one comparison of which texts
+and logprob lists are empty. Only a line these passes refuse goes through
+the per-field path (_prediction_from_obj, then validate_record), which
+names each fault with its location, or accepts the rare valid record the
+passes are too coarse for. Valid dumps never take that path, so its
+per-answer work is paid only on the way to an error message.
+
 Both readers stream: iter_predictions yields one record per line, and the
 gold array is parsed one element at a time from 64 KiB chunks, either into
 GoldRecords (load_gold) or into the compact index scoring reads
@@ -23,6 +32,7 @@ import codecs
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .errors import DuplicateKeyError, ParseError
@@ -94,16 +104,21 @@ def iter_predictions(path: str) -> Iterator[PredictionRecord]:
                 raise ParseError(path, where, _json_limit(exc)) from exc
             if b"\\u" in raw:
                 _check_unicode(obj, path, where)
-            try:
-                record = _prediction_from_obj(obj, lineno)
-            except KeyError as exc:
-                raise ParseError(path, where, f"missing field {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ParseError(path, where, str(exc)) from exc
-            violations = validate_record(record)
-            if violations:
-                raise ParseError(path, where, "; ".join(violations))
-            yield record
+            yield _accepted_record(obj, lineno) or _checked_record(obj, lineno, path, where)
+
+
+def _checked_record(obj: object, line: int, path: str, where: str) -> PredictionRecord:
+    """The record obj holds, checked field by field; a ParseError names any fault."""
+    try:
+        record = _prediction_from_obj(obj, line)
+    except KeyError as exc:
+        raise ParseError(path, where, f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ParseError(path, where, str(exc)) from exc
+    violations = validate_record(record)
+    if violations:
+        raise ParseError(path, where, "; ".join(violations))
+    return record
 
 
 def _json_limit(exc: ValueError | RecursionError) -> str:
@@ -125,6 +140,66 @@ def _check_unicode(obj: object, path: str, where: str) -> None:
     except UnicodeEncodeError as exc:
         surrogate = exc.object[exc.start]
         raise ParseError(path, where, f"invalid Unicode: lone surrogate {surrogate!r}") from exc
+
+
+# Exact types: JSON decoding yields only dict, list, str, int, float, bool
+# and None, so testing a set of types equals the isinstance checks below,
+# bool excluded.
+_DICT = frozenset({dict})
+_LIST = frozenset({list})
+_STR = frozenset({str})
+_FLOAT = frozenset({float})
+_NUMBER = frozenset({int, float})
+#: The default of an absent samples or logprobs field; shared, never mutated.
+_EMPTY: list = []
+
+
+def _accepted_record(obj: object, line: int) -> PredictionRecord | None:
+    """The record a decoded dump line holds if it is valid, else None.
+
+    Checks the whole record in a few passes over its answers and logprobs
+    that run in C, with no Python loop per field: types, then logprob
+    signs and finiteness through max and sum, then text against logprobs.
+    None sends the line to _prediction_from_obj and validate_record, which
+    name every fault, and accept what these passes are too coarse for: a
+    record whose finite logprobs sum beyond float range.
+    """
+    if type(obj) is not dict or "greedy" not in obj:
+        return None
+    qid = obj.get("question_id")
+    samples = obj.get("samples", _EMPTY)
+    meta = obj.get("meta")
+    if type(qid) is not str or not qid or type(samples) is not list:
+        return None
+    if meta is not None and not (
+        type(meta) is dict and _STR.issuperset(map(type, chain(meta, meta.values())))
+    ):
+        return None
+    answers = [obj["greedy"], *samples]
+    if not _DICT.issuperset(map(type, answers)):
+        return None
+    texts = list(map(dict.get, answers, repeat("text")))
+    logprobs = list(map(dict.get, answers, repeat("logprobs"), repeat(_EMPTY)))
+    if not (_STR.issuperset(map(type, texts)) and _LIST.issuperset(map(type, logprobs))):
+        return None
+    kinds = frozenset(map(type, chain.from_iterable(logprobs)))
+    if not _FLOAT.issuperset(kinds):
+        if not _NUMBER.issuperset(kinds):
+            return None
+        try:
+            logprobs = [list(map(float, values)) for values in logprobs]
+        except OverflowError:
+            return None
+    # NaN fails the sum, +inf the max, -inf and an overflowing sum the sum.
+    if not (
+        max(chain.from_iterable(logprobs), default=0.0) <= 0.0
+        and sum(chain.from_iterable(logprobs)) > -math.inf
+    ):
+        return None
+    if list(map(bool, texts)) != list(map(bool, logprobs)):
+        return None
+    greedy, *rest = map(SampledAnswer, texts, logprobs)
+    return PredictionRecord(question_id=qid, greedy=greedy, samples=rest, meta=meta, line=line)
 
 
 def _prediction_from_obj(obj: dict, line: int) -> PredictionRecord:

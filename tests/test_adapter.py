@@ -124,7 +124,7 @@ class TestExternalSimilarity:
     @pytest.mark.parametrize("mode, message", [
         ("error-after:4", "adapter reported: scorer exploded"),
         ("garbage-after:4", "adapter sent invalid JSON: 'not json at all"),
-        ("die-after:4", r"adapter closed its output \(exit status (7|None)\)"),
+        ("die-after:4", r"adapter closed its output \(exit status 7\)"),
     ])
     def test_fault_in_the_middle_of_a_batch(self, mode, message):
         # the first four replies are good; the fifth of nine pairs fails
@@ -132,6 +132,14 @@ class TestExternalSimilarity:
             answers = ["red apple", "apple", "red car"]
             with pytest.raises(AdapterError, match=message):
                 fn.score_matrix(answers, answers)
+
+    def test_closed_output_of_a_running_scorer(self, monkeypatch):
+        monkeypatch.setattr(selqa.adapter, "_REAP_WAIT", 0.05)
+        # closes its output, then runs until its input closes
+        scorer = [sys.executable, "-c", "import os, sys; os.close(1); sys.stdin.read()"]
+        with ExternalSimilarity(scorer, name="mute") as fn:
+            with pytest.raises(AdapterError, match=r"^adapter closed its output \(still running\)$"):
+                fn.score_matrix(["a"], ["b"])
 
     @pytest.mark.parametrize("mode", ["error-after:2", "garbage-after:2", "die-after:2"])
     def test_fault_in_a_batch_exits_3_through_the_cli(self, mode):

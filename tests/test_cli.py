@@ -131,8 +131,36 @@ class TestEvaluate:
         code = run("evaluate", "--predictions", str(bad), "--gold", GOLDEN_GOLD,
                    "--out", str(out))
         assert code == 2
-        assert not out.exists()
-        assert not list(tmp_path.glob(".selqa-*"))
+        assert list(tmp_path.iterdir()) == [bad]  # no report and no temp file
+
+    @pytest.mark.parametrize("to_stdout", [False, True])
+    def test_failed_write_leaves_no_artifacts(self, tmp_path, capsys, to_stdout):
+        # the adapter's method names a curve file too long for the file system,
+        # after the report and three curves could have been written
+        out, curves = tmp_path / "report.md", tmp_path / "curves"
+        name = "x" * 300
+        argv = ["evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
+                "--curves-out", str(curves), "--adapter-cmd", " ".join(adapter_cmd("em")),
+                "--adapter-name", name]
+        code = run(*argv, *([] if to_stdout else ["--out", str(out)]))
+        assert code == 2
+        assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"io error: [Errno 36] File name too long: '{curves / ('avg-' + name)}.csv'\n"
+        )
+
+    @pytest.mark.parametrize("subcommand", ["evaluate", "score", "sweep"])
+    def test_io_error_names_the_requested_path(self, tmp_path, capsys, subcommand):
+        out = tmp_path / "nodir" / "x.md"
+        code = run(subcommand, "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
+                   "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"io error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("side,data,where,reason", [
         ("predictions", b'{"question_id":"q1","greedy":{"text":"a","logprobs":[-1]}}\n'

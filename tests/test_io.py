@@ -1,7 +1,10 @@
+import copy
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selqa import (
     CalibrationReport,
@@ -12,8 +15,11 @@ from selqa import (
     PredictionRecord,
     SampledAnswer,
 )
+from selqa import io as selqa_io
 from selqa.errors import DuplicateKeyError
 from selqa.io import (
+    _accepted_record,
+    _prediction_from_obj,
     dump_gold,
     dump_predictions,
     emit_curve,
@@ -27,8 +33,11 @@ from selqa.io import (
     parse_report,
 )
 from selqa.metrics import RiskCoveragePoint, SweepRow
+from selqa.records import validate_record
 from selqa.synth import SynthConfig, generate
 from selqa.textnorm import normalize_answer
+
+from conftest import DATA_DIR
 
 
 def write(path, text):
@@ -143,6 +152,217 @@ class TestPredictionDump:
         dump_predictions([record], str(path))
         assert load_predictions(str(path))[0].greedy.text == "café żółć"
 
+
+
+def per_field_record(obj, line):
+    """The record the per-field path builds from obj, or None where it rejects obj."""
+    try:
+        record = _prediction_from_obj(obj, line)
+    except (KeyError, TypeError, ValueError):
+        return None
+    return None if validate_record(record) else record
+
+
+def logprob_types(record):
+    return [type(v) for a in (record.greedy, *record.samples) for v in a.logprobs]
+
+
+@st.composite
+def answer_objs(draw):
+    """A valid answer object: text with logprobs, or neither."""
+    if draw(st.booleans()):
+        return {"text": "", "logprobs": []}
+    logprobs = st.one_of(st.floats(-50.0, 0.0), st.integers(-50, 0))
+    return {"text": draw(st.sampled_from(["a", "b c", "unanswerable"])),
+            "logprobs": draw(st.lists(logprobs, min_size=1, max_size=4))}
+
+
+@st.composite
+def record_objs(draw):
+    """A valid dump record object; meta and samples may be left out."""
+    obj = {"question_id": draw(st.sampled_from(["q", "q1", "żółć"])),
+           "greedy": draw(answer_objs())}
+    if draw(st.booleans()):
+        obj["samples"] = draw(st.lists(answer_objs(), max_size=4))
+    if draw(st.booleans()):
+        obj["meta"] = draw(st.dictionaries(st.sampled_from(["m", "t"]), st.just("v")))
+    return obj
+
+
+def _answer(obj, data):
+    """One of obj's answer objects, drawn; a fresh one if an earlier fault took them all."""
+    samples = obj.get("samples")
+    answers = [obj.get("greedy"), *(samples if isinstance(samples, list) else [])]
+    answers = [a for a in answers if isinstance(a, dict)]
+    if not answers:
+        return {}
+    return answers[data.draw(st.integers(0, len(answers) - 1))]
+
+
+def _set_logprob(value):
+    def fault(obj, data):
+        answer = _answer(obj, data)
+        answer["text"] = answer.get("text") or "x"
+        logprobs = answer.get("logprobs")
+        if not isinstance(logprobs, list) or not logprobs:
+            logprobs = answer["logprobs"] = [-1.0]
+        logprobs[data.draw(st.integers(0, len(logprobs) - 1))] = value
+    return fault
+
+
+def _set_answer(value):
+    def fault(obj, data):
+        samples = obj.get("samples")
+        if data.draw(st.booleans()) or not isinstance(samples, list) or not samples:
+            obj["greedy"] = copy.deepcopy(value)
+        else:
+            samples[data.draw(st.integers(0, len(samples) - 1))] = copy.deepcopy(value)
+    return fault
+
+
+def _set_answer_field(key, value):
+    def fault(obj, data):
+        _answer(obj, data)[key] = copy.deepcopy(value)
+    return fault
+
+
+def _drop_answer_field(key):
+    def fault(obj, data):
+        _answer(obj, data).pop(key, None)
+    return fault
+
+
+def _set_field(key, value):
+    def fault(obj, data):
+        obj[key] = copy.deepcopy(value)
+    return fault
+
+
+def _drop_field(key):
+    def fault(obj, data):
+        obj.pop(key, None)
+    return fault
+
+
+def _text_without_logprobs(obj, data):
+    answer = _answer(obj, data)
+    answer["text"], answer["logprobs"] = "x", []
+
+
+def _logprobs_without_text(obj, data):
+    answer = _answer(obj, data)
+    answer["text"], answer["logprobs"] = "", [-1.0]
+
+
+# Each fault kind; a few (a missing logprobs field on an empty answer,
+# meta {}, int logprobs) leave the record valid.
+FAULTS = {
+    "bool-logprob": _set_logprob(True),
+    "false-logprob": _set_logprob(False),
+    "huge-negative-int": _set_logprob(-(10**400)),
+    "huge-positive-int": _set_logprob(10**400),
+    "nan": _set_logprob(math.nan),
+    "inf": _set_logprob(math.inf),
+    "-inf": _set_logprob(-math.inf),
+    "positive-float": _set_logprob(0.5),
+    "positive-int": _set_logprob(1),
+    "zero-int": _set_logprob(0),
+    "negative-zero": _set_logprob(-0.0),
+    "str-logprob": _set_logprob("-1"),
+    "null-logprob": _set_logprob(None),
+    "list-logprob": _set_logprob([-1.0]),
+    "sum-overflow": _set_answer_field("logprobs", [-1e308, -1e308]),
+    "text-without-logprobs": _text_without_logprobs,
+    "logprobs-without-text": _logprobs_without_text,
+    "str-answer": _set_answer("x"),
+    "list-answer": _set_answer([]),
+    "null-answer": _set_answer(None),
+    "str-logprobs": _set_answer_field("logprobs", "-1"),
+    "dict-logprobs": _set_answer_field("logprobs", {}),
+    "null-logprobs": _set_answer_field("logprobs", None),
+    "number-logprobs": _set_answer_field("logprobs", -1.0),
+    "missing-logprobs": _drop_answer_field("logprobs"),
+    "missing-text": _drop_answer_field("text"),
+    "int-text": _set_answer_field("text", 1),
+    "empty-question-id": _set_field("question_id", ""),
+    "int-question-id": _set_field("question_id", 1),
+    "null-question-id": _set_field("question_id", None),
+    "missing-question-id": _drop_field("question_id"),
+    "missing-greedy": _drop_field("greedy"),
+    "null-samples": _set_field("samples", None),
+    "dict-samples": _set_field("samples", {}),
+    "str-meta": _set_field("meta", "m"),
+    "list-meta": _set_field("meta", []),
+    "int-meta-value": _set_field("meta", {"m": 1}),
+    "null-meta-value": _set_field("meta", {"m": None}),
+    "empty-meta": _set_field("meta", {}),
+    "null-meta": _set_field("meta", None),
+}
+
+
+class TestAcceptPass:
+    """_accepted_record agrees with _prediction_from_obj plus validate_record."""
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @settings(max_examples=20, deadline=None)
+    @given(obj=record_objs(), more=st.lists(st.sampled_from(sorted(FAULTS)), max_size=2),
+           data=st.data())
+    def test_agrees_with_the_per_field_path(self, fault, obj, more, data):
+        for name in [fault, *more]:
+            FAULTS[name](obj, data)
+        # exactly the types JSON decoding yields
+        obj = json.loads(json.dumps(obj))
+        fast, reference = _accepted_record(obj, 7), per_field_record(obj, 7)
+        if fast is None:
+            # only a finite sum beyond float range is left to the per-field path
+            if reference is not None:
+                logprobs = [v for a in (reference.greedy, *reference.samples)
+                            for v in a.logprobs]
+                assert sum(logprobs) == -math.inf
+            return
+        assert reference is not None
+        assert fast == reference
+        assert fast.line == reference.line == 7
+        assert fast.meta == reference.meta
+        assert logprob_types(fast) == logprob_types(reference)
+        assert set(logprob_types(fast)) <= {float}
+        assert type(fast.samples) is tuple
+        assert all(type(a.logprobs) is tuple for a in (fast.greedy, *fast.samples))
+
+    @settings(max_examples=100, deadline=None)
+    @given(record_objs())
+    def test_valid_records_are_accepted(self, obj):
+        obj = json.loads(json.dumps(obj))
+        assert _accepted_record(obj, 1) == per_field_record(obj, 1) is not None
+
+    def test_integer_logprobs_load_as_float(self, tmp_path):
+        line = ('{"question_id":"q","greedy":{"text":"x","logprobs":[-1,0]},'
+                '"samples":[{"text":"y","logprobs":[-2.5,-3]}]}\n')
+        [record] = load_predictions(write(tmp_path / "p.jsonl", line))
+        assert record.greedy.logprobs == (-1.0, 0.0)
+        assert record.samples[0].logprobs == (-2.5, -3.0)
+        assert set(logprob_types(record)) == {float}
+
+    def test_overflowing_sum_loads_through_the_per_field_path(self, tmp_path):
+        obj = {"question_id": "q", "greedy": {"text": "x", "logprobs": [-1e308, -1e308]}}
+        assert _accepted_record(obj, 1) is None
+        [record] = load_predictions(write(tmp_path / "p.jsonl", json.dumps(obj) + "\n"))
+        assert record.greedy.logprobs == (-1e308, -1e308)
+
+    def test_valid_inputs_never_reach_the_per_field_path(self, tmp_path, monkeypatch):
+        # the speed of loading rests on the accept pass taking every valid line
+        def refuse(obj, line):
+            raise AssertionError(f"line {line} took the per-field path")
+
+        predictions, _ = generate(SynthConfig(n=200, seed=3, abstain_rate=0.2,
+                                              paraphrase_cluster_rate=0.5))
+        dump_predictions(predictions, str(tmp_path / "synth.jsonl"))
+        monkeypatch.setattr(selqa_io, "_prediction_from_obj", refuse)
+        paths = [DATA_DIR / "golden_predictions.jsonl", DATA_DIR / "trigger_predictions.jsonl",
+                 tmp_path / "synth.jsonl"]
+        for path in paths:
+            assert load_predictions(str(path))
+        assert load_predictions(str(tmp_path / "synth.jsonl")) == predictions
 
 class TestGoldFile:
     def test_answerable_derived_by_or(self, tmp_path):
