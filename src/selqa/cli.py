@@ -4,33 +4,37 @@ Subcommands: evaluate (full calibration report), score (per-record JSONL),
 sweep (threshold operating points), synth (generate a synthetic dump).
 Exit codes: 0 success, 1 usage error, 2 data error, 3 adapter error.
 
-evaluate, score and sweep stream the dump: the adapter is launched, the gold
-file is read into a compact index, and then each dump line is parsed,
-checked, joined and scored in turn, so the process holds the scored rows
-and one record, never the whole dump. A record the loader accepts but a
-scoring method cannot score (no greedy logprobs, no samples, sample
-probabilities summing above 1) is a data error naming the file, the line
-and the question id; an adapter failure while a record is scored names them
-too.
+evaluate, score and sweep share one scoring loop (_score) that streams the
+dump: the adapter is launched, the gold file, if any, is read into a
+compact index, and then each dump line is parsed, checked, joined and
+scored in turn, so the process holds the scored rows and one record, never
+the whole dump. score without --gold joins nothing, so ids may repeat. A
+record the loader accepts but a scoring method cannot score (no greedy
+logprobs, no samples, sample probabilities summing above 1) is a data error
+naming the file, the line and the question id; an adapter failure while a
+record is scored, or a repeated id, names them too.
 
 Errors are reported in that order. A gold error comes first. After it, the
 first failing dump line wins, whether it fails to parse, repeats an id,
 cannot be scored (exit 2) or breaks the adapter (exit 3), so lines before
 it have already been scored, adapter requests included. The join summary
 is printed once the last line is read. Outputs are written only after that,
-all or none (every temp file written, then all renamed), and are
-byte-identical across runs.
+all or none (each staged under its own name in a temp directory beside its
+target, then all renamed), and are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Sequence
 
 from . import io as selqa_io
 from . import metrics, scoring
@@ -44,10 +48,6 @@ _EXIT_DATA = 2
 _EXIT_ADAPTER = 3
 
 _CLASSIFIER_CHOICES = ("em", "bleu-threshold", "adapter-threshold")
-
-_G = TypeVar("_G")
-_R = TypeVar("_R")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -168,52 +168,42 @@ def _build_classifier(args: argparse.Namespace, fn: SimilarityFn) -> Correctness
     return CorrectnessClassifier.adapter_threshold(fn, args.threshold)
 
 
-def _score_stream(
-    pairs: Iterable[tuple[PredictionRecord, _G]],
-    score_one: Callable[[PredictionRecord, _G], _R],
-    predictions_path: str,
-) -> list[_R]:
-    """Score (record, gold) pairs one after another, as the dump is read.
-
-    A ValueError from scoring becomes a DataError, and an AdapterError is
-    raised again, both naming the record's line and question.
-    """
-    rows = []
-    for record, gold in pairs:
-        try:
-            rows.append(score_one(record, gold))
-        except ValueError as exc:
-            raise DataError(_located(predictions_path, record, exc)) from exc
-        except AdapterError as exc:
-            raise AdapterError(_located(predictions_path, record, exc)) from exc
-    return rows
-
-
 def _located(predictions_path: str, record: PredictionRecord, exc: Exception) -> str:
     return f"{predictions_path}: line {record.line}: question_id {record.question_id!r}: {exc}"
 
 
-def _write_outputs(outputs: Sequence[tuple[bytes, str | None]]) -> None:
-    """Write every output, or none: each to a temp file, then all renamed.
+def _write_outputs(
+    outputs: Sequence[tuple[bytes, str | None]], new_dir: str | None = None
+) -> None:
+    """Write every output, or none: each staged under its own name, then all renamed.
 
     An output without a path goes to stdout once the files are in place.
-    Each temp file sits beside its target and is named after it, so a name
-    the file system cannot take fails before anything is renamed. An error
-    names the requested path, never a temp file, and leaves no temp file.
+    Each file is staged under its target's name in a temp directory beside
+    the target, so a name the file system cannot take fails before anything
+    is renamed. new_dir, if given, is made first, with its parents; if a
+    write fails, the directories this run made are removed again. An error
+    names the requested path, never a temp one, and leaves nothing behind.
     """
+    made: list[str] = []
+    stages: dict[str, str] = {}  # target directory -> its temp directory
     staged: list[tuple[str, str]] = []
     try:
+        if new_dir is not None:
+            made = _missing_dirs(new_dir)
+            Path(new_dir).mkdir(parents=True, exist_ok=True)
         for data, out in outputs:
             if out is None:
                 continue
             directory, name = os.path.split(os.path.abspath(out))
             try:
-                fd, tmp = tempfile.mkstemp(dir=directory, prefix=f".{name}.")
+                if directory not in stages:
+                    stages[directory] = tempfile.mkdtemp(prefix=".selqa-", dir=directory)
+                tmp = os.path.join(stages[directory], name)
+                with open(tmp, "xb") as f:
+                    staged.append((tmp, out))
+                    f.write(data)
             except OSError as exc:
                 raise _naming(exc, out) from exc
-            staged.append((tmp, out))
-            with os.fdopen(fd, "wb") as f:
-                f.write(data)
         while staged:
             tmp, out = staged[-1]
             try:
@@ -221,12 +211,28 @@ def _write_outputs(outputs: Sequence[tuple[bytes, str | None]]) -> None:
             except OSError as exc:
                 raise _naming(exc, out) from exc
             staged.pop()
+        made = []
     finally:
         for tmp, _ in staged:
             os.unlink(tmp)
+        for stage in stages.values():
+            os.rmdir(stage)
+        for directory in made:
+            with contextlib.suppress(OSError):  # not made, or no longer empty
+                os.rmdir(directory)
     for data, out in outputs:
         if out is None:
             sys.stdout.write(data.decode("utf-8"))
+
+
+def _missing_dirs(path: str) -> list[str]:
+    """path and each of its parents that does not exist yet, innermost first."""
+    missing = []
+    path = os.path.abspath(path)
+    while not os.path.exists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
 
 
 def _naming(exc: OSError, path: str) -> OSError:
@@ -234,31 +240,40 @@ def _naming(exc: OSError, path: str) -> OSError:
     return OSError(exc.errno, exc.strerror, path)
 
 
-def _score_joined(
+def _score(
     args: argparse.Namespace, methods: Sequence[str]
-) -> tuple[list[ScoredPrediction], CorrectnessClassifier, str]:
-    """Score each dump record against the gold index as the dump is read.
+) -> tuple[list[ScoredPrediction], CorrectnessClassifier | None, str]:
+    """Score each dump record as the dump is read, joined to the gold index if any.
 
-    Returns the scored rows, the classifier and the similarity's name.
+    Returns the scored rows, the classifier (None without --gold, when rows
+    carry no verdicts and ids may repeat) and the similarity's name.
     """
     with _build_similarity(args) as fn:
-        classifier = _build_classifier(args, fn)
-        gold = selqa_io.load_gold_index(args.gold)
+        classifier = _build_classifier(args, fn) if args.gold else None
+        classifiers = (classifier,) if classifier else ()
+        gold = selqa_io.load_gold_index(args.gold) if args.gold else None
         summary = selqa_io.JoinSummary()
         records = selqa_io.iter_predictions(args.predictions)
         try:
-            scored = _score_stream(
-                selqa_io.join_stream(records, gold, summary),
-                lambda record, entry: scoring.score_joined(
-                    record, *entry, methods, fn, (classifier,)
-                ),
-                args.predictions,
-            )
+            if gold is not None:
+                pairs = selqa_io.join_stream(records, gold, summary, args.predictions)
+            else:  # no answers to check, and an answerable flag no output reads
+                pairs = zip(records, repeat(((), False)))
+            scored = []
+            for record, (golds, answerable) in pairs:
+                try:
+                    scored.append(scoring.score_joined(
+                        record, golds, answerable, methods, fn, classifiers
+                    ))
+                except ValueError as exc:
+                    raise DataError(_located(args.predictions, record, exc)) from exc
+                except AdapterError as exc:
+                    raise AdapterError(_located(args.predictions, record, exc)) from exc
         finally:
             records.close()
     if not summary.clean:
         print(f"join: {summary.describe()}", file=sys.stderr)
-    if not scored:
+    if gold is not None and not scored:
         raise DataError("no overlapping question ids between predictions and gold")
     return scored, classifier, fn.name
 
@@ -268,7 +283,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     targets = _parse_targets(args.acc_targets)
     if args.bins < 1:
         raise UsageError("--bins must be >= 1")
-    scored, classifier, sim_name = _score_joined(args, methods)
+    scored, classifier, sim_name = _score(args, methods)
     meta = {"classifier": classifier.name, "bins": str(args.bins), "similarity": sim_name}
     if classifier.name != "em":
         meta["threshold"] = repr(classifier.threshold)
@@ -282,14 +297,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     ]
     if args.curves_out:
         curve_dir = Path(args.curves_out)
-        curve_dir.mkdir(parents=True, exist_ok=True)
         for method, ranking in rankings.items():
             outputs.append((
                 selqa_io.emit_curve(metrics.ranked_curve(ranking)),
                 str(curve_dir / f"{_safe_name(method)}.csv"),
             ))
     # Everything computed before anything is written: no partial artifacts.
-    _write_outputs(outputs)
+    _write_outputs(outputs, args.curves_out)
     return 0
 
 
@@ -299,33 +313,12 @@ def _safe_name(method: str) -> str:
 
 def cmd_score(args: argparse.Namespace) -> int:
     methods = _parse_methods(args)
-    if args.gold:
-        scored, _, _ = _score_joined(args, methods)
-        rows = [
-            {
-                "question_id": s.question_id,
-                "triggered": s.triggered,
-                "scores": s.scores,
-                "correct": s.correct,
-                "answerable": s.answerable,
-            }
-            for s in scored
-        ]
-    else:
-        with _build_similarity(args) as fn:
-            records = selqa_io.iter_predictions(args.predictions)
-            try:
-                rows = _score_stream(
-                    ((record, None) for record in records),
-                    lambda record, _: {
-                        "question_id": record.question_id,
-                        "triggered": scoring.trigger_decision(record.greedy),
-                        "scores": scoring.score_record(record, methods, fn),
-                    },
-                    args.predictions,
-                )
-            finally:
-                records.close()
+    scored, _, _ = _score(args, methods)
+    rows = [
+        asdict(s) if args.gold else
+        {"question_id": s.question_id, "triggered": s.triggered, "scores": s.scores}
+        for s in scored
+    ]
     lines = [json.dumps(row, ensure_ascii=False, separators=(",", ":")) for row in rows]
     _write_outputs([(("\n".join(lines) + "\n").encode("utf-8") if lines else b"", args.out)])
     return 0
@@ -333,7 +326,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     methods = _parse_methods(args)
-    scored, classifier, _ = _score_joined(args, methods)
+    scored, classifier, _ = _score(args, methods)
     if not any(s.triggered for s in scored):
         raise DataError("nothing triggered; no operating points to sweep")
     sweeps = {

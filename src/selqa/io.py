@@ -17,9 +17,11 @@ passes are too coarse for. Valid dumps never take that path, so its
 per-answer work is paid only on the way to an error message.
 
 Both readers stream: iter_predictions yields one record per line, and the
-gold array is parsed one element at a time from 64 KiB chunks, either into
-GoldRecords (load_gold) or into the compact index scoring reads
-(load_gold_index). Neither holds the whole file.
+gold array is parsed one element at a time from chunks of 64 Ki characters,
+either into GoldRecords (load_gold) or into the compact index scoring reads
+(load_gold_index). Neither holds a valid file whole. A gold file the stream
+cannot read as an array is parsed again whole, once, only to name its first
+error as that parse words it.
 
 All emission is byte-deterministic. Human formats (csv, markdown) round
 floats to 4 decimals; the canonical json report keeps full precision so a
@@ -28,12 +30,11 @@ report round-trips exactly through emit_report/parse_report.
 
 from __future__ import annotations
 
-import codecs
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TypeVar
+from itertools import chain, count, repeat
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .errors import DuplicateKeyError, ParseError
 from .metrics import RiskCoveragePoint, SweepRow
@@ -307,13 +308,14 @@ def load_gold_index(path: str) -> dict[str, GoldEntry]:
     """Map each question_id of a gold file to its GoldEntry.
 
     Reads and checks the file as load_gold does, without building its
-    records; a question_id seen twice is a DuplicateKeyError, as in join.
+    records; a question_id seen twice is a DuplicateKeyError naming the
+    file and the repeating record's index.
     """
     index: dict[str, GoldEntry] = {}
     for i, obj in _gold_objects(path):
         qid, answers, flags = _checked_gold(obj, path, i)
         if qid in index:
-            raise DuplicateKeyError(f"duplicate question_id in gold: {qid!r}")
+            raise DuplicateKeyError(f"{path}: record {i}: duplicate question_id {qid!r}")
         index[qid] = (distinct_normalized([a["answer"] for a in answers]), any(flags))
     return index
 
@@ -357,7 +359,7 @@ def _checked_gold(obj: object, path: str, i: int) -> tuple[str, list[dict], list
     return qid, answers, flags
 
 
-#: Bytes of the gold file read at a time.
+#: Characters of the gold file read at a time.
 _CHUNK = 1 << 16
 _DECODER = json.JSONDecoder()
 _SKIP_WHITESPACE = json.decoder.WHITESPACE.match
@@ -366,82 +368,91 @@ _SKIP_WHITESPACE = json.decoder.WHITESPACE.match
 def _gold_objects(path: str) -> Iterator[tuple[int, object]]:
     """Each element of a gold file's top-level JSON array, with its index.
 
-    The file is decoded in chunks and parsed one element at a time, so the
-    whole file is never held. Errors are those of parsing it whole: invalid
-    UTF-8 and JSON syntax errors name their byte offset, and a file that is
-    not an array is reported as such once it parses. An element holding a
-    lone surrogate escape is a ParseError naming its index.
+    The file is read in chunks and parsed one element at a time, so a valid
+    file is read once and never held whole. A file the stream cannot read as
+    an array is parsed again whole, and that parse's error is reported. A
+    value past a decoder limit (depth, integer digits) is reported where the
+    stream met it, as another parse need not hit the same limit. An element
+    holding a lone surrogate escape is a ParseError naming its index.
     """
-    with open(path, "rb") as f:
-        text = _ChunkedText(f, path)
-        text.skip_whitespace()
-        if text.peek() != "[":
-            text.parse_whole()
-            raise ParseError(path, "top level", "gold file is not a JSON array")
-        text.pos += 1
-        text.skip_whitespace()
-        i = 0
-        while text.peek() != "]":
-            if i:
-                if text.peek() != ",":
-                    raise text.error("Expecting ',' delimiter", text.pos)
-                text.pos += 1
-                text.skip_whitespace()
-            obj = text.value()
-            if text.buf.find("\\u", text.mark, text.pos) >= 0:
-                _check_unicode(obj, path, f"record {i}")
-            yield i, obj
-            i += 1
-            text.skip_whitespace()
-        text.pos += 1
-        text.skip_whitespace()
-        if text.pos < len(text.buf):
-            raise text.error("Extra data", text.pos)
+    with open(path, encoding="utf-8", newline="") as f:
+        text = _ChunkedText(f)
+        try:
+            if text.skip("["):
+                for i in count():
+                    if text.skip("]"):
+                        if text.pos == len(text.buf):
+                            return
+                        break
+                    if i and not text.skip(","):
+                        break
+                    obj = text.value()
+                    if text.buf.find("\\u", text.mark, text.pos) >= 0:
+                        _check_unicode(obj, path, f"record {i}")
+                    yield i, obj
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            pass
+        except (ValueError, RecursionError) as exc:
+            # The text before the value decoded; bytes after it need not.
+            head = _reread(f, path).decode("utf-8", "replace")[: text.dropped + text.pos]
+            raise ParseError(path, f"byte {len(head.encode('utf-8'))}", _json_limit(exc)) from exc
+        raise _whole_file_error(f, path)
+
+
+def _whole_file_error(f: TextIO, path: str) -> ParseError:
+    """The error of parsing the gold file f whole, read again from its start.
+
+    The parse keeps no records: each object it decodes is dropped. At most
+    two copies of the file's text are held at once.
+    """
+    try:
+        text = _reread(f, path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return ParseError(path, f"byte {exc.start}", f"invalid UTF-8: {exc}")
+    try:
+        json.loads(text, object_pairs_hook=len)  # len stands in for each object
+        return ParseError(path, "top level", "gold file is not a JSON array")
+    except json.JSONDecodeError as exc:
+        end, reason = exc.pos, f"invalid JSON: {exc.msg}"
+    except (ValueError, RecursionError) as exc:
+        end, reason = _SKIP_WHITESPACE(text).end(), _json_limit(exc)
+    text = text[:end]  # the parse's error, which holds the whole text, is gone
+    return ParseError(path, f"byte {len(text.encode('utf-8'))}", reason)
+
+
+def _reread(f: TextIO, path: str) -> bytes:
+    """The bytes of the gold file f, read again from its start."""
+    if not f.seekable():  # a pipe, whose text is gone once read
+        raise ParseError(path, "top level", "invalid JSON; a pipe cannot be read again to find it")
+    f.seek(0)
+    return f.buffer.read()
 
 
 class _ChunkedText:
-    """A UTF-8 file decoded chunk by chunk, with a read position.
+    """A text file read chunk by chunk, with a read position.
 
-    buf holds the text from byte offset base on. Reading more drops the text
+    buf holds the text from character dropped on. Reading more drops the text
     before mark, the start of the value being parsed, so buf spans at most
     one value and one chunk.
     """
 
-    def __init__(self, f: BinaryIO, path: str) -> None:
+    def __init__(self, f: TextIO) -> None:
         self.f = f
-        self.path = path
-        self.utf8 = codecs.getincrementaldecoder("utf-8")()
         self.buf = ""
         self.pos = 0
         self.mark = 0
-        self.base = 0
-        self.read = 0  # bytes read from the file
-        self.eof = False
+        self.dropped = 0
 
     def more(self, size: int = _CHUNK) -> bool:
-        """Append the text of up to size more bytes; False at end of file."""
-        if self.eof:
-            return False
+        """Append up to size more characters; False at end of file."""
         if self.mark:
-            self.base += len(self.buf[: self.mark].encode("utf-8"))
+            self.dropped += self.mark
             self.buf = self.buf[self.mark :]
             self.pos -= self.mark
             self.mark = 0
         data = self.f.read(size)
-        # Byte offset of the decoder's input: these bytes and those it holds back.
-        offset = self.read - len(self.utf8.getstate()[0])
-        self.read += len(data)
-        self.eof = not data
-        try:
-            self.buf += self.utf8.decode(data, final=self.eof)
-        except UnicodeDecodeError as exc:
-            reason = f"invalid UTF-8: {_utf8_reason(exc, offset)}"
-            raise ParseError(self.path, f"byte {offset + exc.start}", reason) from exc
-        return True
-
-    def peek(self) -> str:
-        """The character at pos, or "" at end of file."""
-        return self.buf[self.pos : self.pos + 1]
+        self.buf += data
+        return bool(data)
 
     def skip_whitespace(self) -> None:
         while True:
@@ -451,6 +462,15 @@ class _ChunkedText:
             self.mark = self.pos
             if not self.more():
                 return
+
+    def skip(self, char: str) -> bool:
+        """Skip whitespace, then char and the whitespace after it if char is next."""
+        self.skip_whitespace()
+        if not self.buf.startswith(char, self.pos):
+            return False
+        self.pos += 1
+        self.skip_whitespace()
+        return True
 
     def value(self) -> object:
         """Parse the JSON value at pos and move past it.
@@ -463,43 +483,14 @@ class _ChunkedText:
         while True:
             try:
                 obj, end = _DECODER.raw_decode(self.buf, self.pos)
-            except json.JSONDecodeError as exc:
+            except json.JSONDecodeError:
                 if self.more(max(_CHUNK, len(self.buf) - self.mark)):
                     continue
-                raise self.error(exc.msg, exc.pos) from exc
-            except (ValueError, RecursionError) as exc:
-                raise ParseError(self.path, self._where(self.pos), _json_limit(exc)) from exc
+                raise
             # A number ending at the end of buf may go on in the next chunk.
             if end < len(self.buf) or not self.more(max(_CHUNK, len(self.buf) - self.mark)):
                 self.pos = end
                 return obj
-
-    def parse_whole(self) -> None:
-        """Read the rest and parse it whole, raising its JSON error if any."""
-        while self.more(max(_CHUNK, len(self.buf))):
-            pass
-        try:
-            json.loads(self.buf)
-        except json.JSONDecodeError as exc:
-            raise self.error(exc.msg, exc.pos) from exc
-        except (ValueError, RecursionError) as exc:
-            raise ParseError(self.path, self._where(self.pos), _json_limit(exc)) from exc
-
-    def error(self, msg: str, pos: int) -> ParseError:
-        return ParseError(self.path, self._where(pos), f"invalid JSON: {msg}")
-
-    def _where(self, pos: int) -> str:
-        return f"byte {self.base + len(self.buf[:pos].encode('utf-8'))}"
-
-
-def _utf8_reason(exc: UnicodeDecodeError, offset: int) -> str:
-    """str(exc) with its positions counted from the start of the file."""
-    start = offset + exc.start
-    if exc.end - exc.start == 1:
-        what = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
-    else:
-        what = f"bytes in position {start}-{offset + exc.end - 1}"
-    return f"'{exc.encoding}' codec can't decode {what}: {exc.reason}"
 
 
 # ---------------------------------------------------------------------------
@@ -549,18 +540,24 @@ def join(
 
 
 def join_stream(
-    predictions: Iterable[PredictionRecord], gold_index: Mapping[str, _G], summary: JoinSummary
+    predictions: Iterable[PredictionRecord],
+    gold_index: Mapping[str, _G],
+    summary: JoinSummary,
+    path: str | None = None,
 ) -> Iterator[tuple[PredictionRecord, _G]]:
     """Yield each prediction with its gold entry as the predictions arrive.
 
     Fills summary as it goes; its unmatched gold ids are complete once the
-    predictions are exhausted. A repeated prediction id is fatal.
+    predictions are exhausted. A repeated prediction id is fatal; given the
+    dump's path, the error names it, the repeated line and the id.
     """
     seen: set[str] = set()
     for p in predictions:
         if p.question_id in seen:
+            if path is None:
+                raise DuplicateKeyError(f"duplicate question_id in predictions: {p.question_id!r}")
             raise DuplicateKeyError(
-                f"duplicate question_id in predictions: {p.question_id!r}"
+                f"{path}: line {p.line}: question_id {p.question_id!r}: duplicate question_id"
             )
         seen.add(p.question_id)
         g = gold_index.get(p.question_id)

@@ -144,12 +144,36 @@ class TestEvaluate:
                 "--adapter-name", name]
         code = run(*argv, *([] if to_stdout else ["--out", str(out)]))
         assert code == 2
-        assert [p for p in tmp_path.rglob("*") if not p.is_dir()] == []
+        assert list(tmp_path.iterdir()) == []  # no file, and no curves directory
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
             f"io error: [Errno 36] File name too long: '{curves / ('avg-' + name)}.csv'\n"
         )
+
+    def test_failed_write_removes_only_the_directories_it_made(self, tmp_path, capsys):
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        out = tmp_path / "nodir" / "x.md"
+        code = run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
+                   "--out", str(out), "--curves-out", str(kept / "new" / "curves"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"io error: [Errno 2] No such file or directory: '{out}'\n"
+        )
+        assert list(tmp_path.rglob("*")) == [kept]
+
+    def test_output_name_of_255_bytes_is_written(self, tmp_path):
+        out = tmp_path / ("x" * 255)
+        assert run("score", "--predictions", GOLDEN_PRED, "--out", str(out)) == 0
+        assert out.read_bytes() == (DATA_DIR / "golden_score.jsonl").read_bytes()
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_output_name_of_256_bytes_is_refused(self, tmp_path, capsys):
+        out = tmp_path / ("x" * 256)
+        assert run("score", "--predictions", GOLDEN_PRED, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"io error: [Errno 36] File name too long: '{out}'\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("subcommand", ["evaluate", "score", "sweep"])
     def test_io_error_names_the_requested_path(self, tmp_path, capsys, subcommand):
@@ -293,6 +317,14 @@ class TestStreamedErrorOrder:
 
 
 class TestScore:
+    @pytest.mark.parametrize("gold,golden", [
+        ([], "golden_score.jsonl"), (["--gold", GOLDEN_GOLD], "golden_score_gold.jsonl"),
+    ])
+    def test_golden_score(self, tmp_path, gold, golden):
+        out = tmp_path / "scored.jsonl"
+        assert run("score", "--predictions", GOLDEN_PRED, *gold, "--out", str(out)) == 0
+        assert out.read_bytes() == (DATA_DIR / golden).read_bytes()
+
     def test_scores_without_gold(self, tmp_path):
         out = tmp_path / "scored.jsonl"
         assert run("score", "--predictions", GOLDEN_PRED, "--out", str(out)) == 0
@@ -456,6 +488,57 @@ class TestUnscorableRecords:
         assert not writer.is_alive()
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"data error: {fifo}: line 2: question_id 'q-nosamples': ")
+
+
+class TestDuplicateIds:
+    @pytest.mark.parametrize("command", ["evaluate", "score", "sweep"])
+    def test_repeated_dump_id_names_its_line(self, tmp_path, capsys, command):
+        pred = tmp_path / "p.jsonl"
+        pred.write_text(SCORABLE + "\n\n" + SCORABLE + "\n")  # line 3 repeats line 1
+        gold = tmp_path / "g.json"
+        gold.write_text(json.dumps([{"question_id": "q-good", "answers": [{"answer": "yes"}]}]))
+        out = tmp_path / "out"
+        code = run(command, "--predictions", str(pred), "--gold", str(gold), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {pred}: line 3: question_id 'q-good': duplicate question_id\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "score", "sweep"])
+    def test_repeated_gold_id_names_its_record(self, tmp_path, capsys, command):
+        pred = tmp_path / "p.jsonl"
+        pred.write_text(SCORABLE + "\n")
+        gold = tmp_path / "g.json"
+        ids = ("q-good", "q2", "q-good")
+        gold.write_text(json.dumps([{"question_id": q, "answers": [{"answer": "yes"}]} for q in ids]))
+        out = tmp_path / "out"
+        code = run(command, "--predictions", str(pred), "--gold", str(gold), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {gold}: record 2: duplicate question_id 'q-good'\n"
+        )
+        assert not out.exists()
+
+
+class TestGoldFromAPipe:
+    def test_valid_gold_streams_from_stdin(self):
+        with open(GOLDEN_GOLD, encoding="utf-8") as f:
+            gold = f.read()
+        proc = run_python(["-m", "selqa.cli", "evaluate", "--predictions", GOLDEN_PRED,
+                           "--gold", "/dev/stdin"], input=gold, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (DATA_DIR / "golden_report.md").read_text(encoding="utf-8")
+
+    def test_malformed_gold_from_stdin_names_the_file(self):
+        # what was read from a pipe cannot be read again to locate the error
+        proc = run_python(["-m", "selqa.cli", "evaluate", "--predictions", GOLDEN_PRED,
+                           "--gold", "/dev/stdin"], input="{not json", timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "data error: /dev/stdin: top level: invalid JSON; "
+            "a pipe cannot be read again to find it\n"
+        )
 
 
 _texts = st.sampled_from(["", "yes", "Yes.", "no", "red apple", "unanswerable"])

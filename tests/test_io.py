@@ -491,6 +491,65 @@ class TestGoldStreaming:
         with pytest.raises(ParseError, match=r"g\.json: top level: gold file is not a JSON array"):
             load_gold(write(tmp_path / "g.json", '{"question_id": "q1"}'))
 
+    @pytest.mark.parametrize("bad_tail", [False, True])
+    def test_deep_nesting_in_a_record_past_the_first_chunk(self, tmp_path, bad_tail):
+        # reported at the record where the stream met it, even when bytes far
+        # past it, which the stream never reads, are not UTF-8
+        _, data = multi_chunk_gold()
+        if bad_tail:
+            cut = data.rindex(b'"x"') + 1
+            data = data[:cut] + b"\xff" + data[cut + 1:]
+        at = data.index(b"\n {", 3 * 2**16) + 2
+        deep = b'{"question_id": "d", "answers": %s},' % (b"[" * 100_000 + b"]" * 100_000)
+        path = tmp_path / "g.json"
+        path.write_bytes(data[:at] + deep + data[at:])
+        with pytest.raises(ParseError) as err:
+            load_gold(str(path))
+        assert str(err.value) == f"{path}: byte {at}: invalid JSON: nested too deeply"
+
+    def test_deep_nesting_at_the_top_level_of_a_non_array(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_bytes(b' {"a": %s}' % (b"[" * 100_000 + b"]" * 100_000))
+        with pytest.raises(ParseError) as err:
+            load_gold(str(path))
+        assert str(err.value) == f"{path}: byte 1: invalid JSON: nested too deeply"
+
+    def test_long_integer_past_the_first_chunk(self, tmp_path):
+        # ASCII, so that every chunk ends at the same byte however it is read,
+        # and the record's 5,000 digits lie inside one chunk
+        records, _ = multi_chunk_gold()
+        data = json.dumps(records, indent=1).encode()
+        at = data.index(b"\n {", 2 * 2**16 + 1000) + 2
+        assert data.index(b"\n {", at) + 5100 < 3 * 2**16
+        huge = b'{"question_id": "n", "n": 1%s, "answers": [{"answer": "x"}]},' % (b"0" * 4999)
+        path = tmp_path / "g.json"
+        path.write_bytes(data[:at] + huge + data[at:])
+        with pytest.raises(ValueError) as limit:
+            int("1" + "0" * 4999)
+        with pytest.raises(ParseError) as err:
+            load_gold(str(path))
+        assert str(err.value) == f"{path}: byte {at}: invalid JSON: {limit.value}"
+
+    @pytest.mark.parametrize("at,utf8_wins", [(30_000, True), (200_000, False)])
+    def test_bad_record_0_and_invalid_utf8(self, tmp_path, at, utf8_wins):
+        # invalid UTF-8 in the chunk holding record 0 is met before record 0
+        # is checked; in a later chunk it is never reached
+        records, _ = multi_chunk_gold()
+        records[0]["answers"] = []
+        data = json.dumps(records, ensure_ascii=False, indent=1).encode()
+        cut = data.index(b'"x"', at) + 1
+        data = data[:cut] + b"\xff" + data[cut + 1:]
+        with pytest.raises(UnicodeDecodeError) as whole:
+            data.decode("utf-8")
+        path = tmp_path / "g.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as err:
+            load_gold_index(str(path))
+        if utf8_wins:
+            assert str(err.value) == f"{path}: byte {cut}: invalid UTF-8: {whole.value}"
+        else:
+            assert str(err.value) == f"{path}: record 0: gold record 'q0' has no answers"
+
     def test_index_matches_load_gold(self, tmp_path):
         _, data = multi_chunk_gold()
         path = tmp_path / "g.json"
@@ -508,8 +567,26 @@ class TestGoldStreaming:
 
     def test_index_rejects_a_duplicate_id(self, tmp_path):
         data = [{"question_id": q, "answers": [{"answer": "x"}]} for q in ("a", "b", "a")]
-        with pytest.raises(DuplicateKeyError, match=r"^duplicate question_id in gold: 'a'$"):
-            load_gold_index(write(tmp_path / "g.json", json.dumps(data)))
+        path = write(tmp_path / "g.json", json.dumps(data))
+        with pytest.raises(DuplicateKeyError) as err:
+            load_gold_index(path)
+        assert str(err.value) == f"{path}: record 2: duplicate question_id 'a'"
+
+    def test_valid_files_are_never_parsed_whole(self, tmp_path, monkeypatch):
+        # the whole-file parse is only for naming an error; a valid file that
+        # took it would be held whole in memory
+        def refuse(f, path):
+            raise AssertionError(f"{path} was parsed whole")
+
+        monkeypatch.setattr(selqa_io, "_whole_file_error", refuse)
+        _, data = multi_chunk_gold()
+        (tmp_path / "multi.json").write_bytes(data)
+        _, gold = generate(SynthConfig(n=2000, seed=3))
+        dump_gold(gold, str(tmp_path / "synth.json"))
+        for path in (DATA_DIR / "golden_gold.json", DATA_DIR / "trigger_gold.json",
+                     tmp_path / "multi.json", tmp_path / "synth.json"):
+            assert load_gold(str(path))
+            assert load_gold_index(str(path))
 
 
 def prediction(qid):
