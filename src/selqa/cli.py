@@ -21,6 +21,14 @@ it have already been scored, adapter requests included. The join summary
 is printed once the last line is read. Outputs are written only after that,
 all or none (each staged under its own name in a temp directory beside its
 target, then all renamed), and are byte-identical across runs.
+
+With more than one CPU, a dump that is a regular file of at least two
+shards' minimum bytes is cut at line starts once the gold index is built;
+forked workers (selqa._shards) run the loop's scoring step on every shard
+but the first, which the process scores itself, and their records join
+the loop in file order, so the join summary, the first error, the outputs
+and the exit code are those of a serial run. A run stays serial with an
+adapter, on a pipe or FIFO, on a small dump and while another thread runs.
 """
 
 from __future__ import annotations
@@ -29,10 +37,12 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
 import tempfile
+import threading
 from dataclasses import asdict
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -48,6 +58,9 @@ _EXIT_DATA = 2
 _EXIT_ADAPTER = 3
 
 _CLASSIFIER_CHOICES = ("em", "bleu-threshold", "adapter-threshold")
+#: Fewest dump bytes worth a shard: a smaller dump, or one below two of
+#: these, is scored serially, as forking would cost more than it saves.
+_SHARD_MIN_BYTES = 1 << 18
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -156,15 +169,19 @@ def _build_similarity(args: argparse.Namespace) -> SimilarityFn:
     return BleuSimilarity(mode=args.sim_mode)
 
 
-def _build_classifier(args: argparse.Namespace, fn: SimilarityFn) -> CorrectnessClassifier:
+def _check_classifier_flags(args: argparse.Namespace) -> None:
+    """Refuse bad classifier flags, with or without --gold, before any file is read."""
     if not 0.0 <= args.threshold <= 1.0:
         raise UsageError("--threshold must lie in [0, 1]")
+    if args.classifier == "adapter-threshold" and args.adapter_cmd is None:
+        raise UsageError("--classifier adapter-threshold requires --adapter-cmd")
+
+
+def _build_classifier(args: argparse.Namespace, fn: SimilarityFn) -> CorrectnessClassifier:
     if args.classifier == "em":
         return CorrectnessClassifier.exact_match()
     if args.classifier == "bleu-threshold":
         return CorrectnessClassifier.bleu_threshold(args.threshold, mode=args.sim_mode)
-    if args.adapter_cmd is None:
-        raise UsageError("--classifier adapter-threshold requires --adapter-cmd")
     return CorrectnessClassifier.adapter_threshold(fn, args.threshold)
 
 
@@ -246,36 +263,91 @@ def _score(
     """Score each dump record as the dump is read, joined to the gold index if any.
 
     Returns the scored rows, the classifier (None without --gold, when rows
-    carry no verdicts and ids may repeat) and the similarity's name.
+    carry no verdicts and ids may repeat) and the similarity's name. When
+    _shard_cuts cuts the dump, forked workers (selqa._shards) score every
+    shard but the first, and their records join the loop in file order
+    after this process's own shard.
     """
+    _check_classifier_flags(args)
     with _build_similarity(args) as fn:
         classifier = _build_classifier(args, fn) if args.gold else None
         classifiers = (classifier,) if classifier else ()
         gold = selqa_io.load_gold_index(args.gold) if args.gold else None
+
+        def score(
+            record: PredictionRecord, golds: tuple[str, ...], answerable: bool
+        ) -> ScoredPrediction:
+            try:
+                return scoring.score_joined(
+                    record, golds, answerable, methods, fn, classifiers
+                )
+            except ValueError as exc:
+                raise DataError(_located(args.predictions, record, exc)) from exc
+            except AdapterError as exc:
+                raise AdapterError(_located(args.predictions, record, exc)) from exc
+
+        cuts = _shard_cuts(args)
+        workers = []
+        if cuts is not None:
+            from . import _shards
+
+            workers = _shards.fork_workers(args.predictions, cuts, gold, score) or []
+        head = selqa_io.iter_predictions(args.predictions, 0, cuts[1] if workers else None)
         summary = selqa_io.JoinSummary()
-        records = selqa_io.iter_predictions(args.predictions)
         try:
+            records = chain(head, *workers)
             if gold is not None:
                 pairs = selqa_io.join_stream(records, gold, summary, args.predictions)
             else:  # no answers to check, and an answerable flag no output reads
                 pairs = zip(records, repeat(((), False)))
+            names = [c.name for c in classifiers]
             scored = []
             for record, (golds, answerable) in pairs:
-                try:
-                    scored.append(scoring.score_joined(
-                        record, golds, answerable, methods, fn, classifiers
-                    ))
-                except ValueError as exc:
-                    raise DataError(_located(args.predictions, record, exc)) from exc
-                except AdapterError as exc:
-                    raise AdapterError(_located(args.predictions, record, exc)) from exc
+                if type(record) is PredictionRecord:
+                    scored.append(score(record, golds, answerable))
+                else:  # scored by a worker
+                    scored.append(record.scored(methods, names, answerable))
         finally:
-            records.close()
+            head.close()
+            for worker in workers:
+                worker.stop()
     if not summary.clean:
         print(f"join: {summary.describe()}", file=sys.stderr)
     if gold is not None and not scored:
         raise DataError("no overlapping question ids between predictions and gold")
     return scored, classifier, fn.name
+
+
+def _shard_cuts(args: argparse.Namespace) -> list[int] | None:
+    """Where to cut the dump into shards: line starts from 0 to its size, or None.
+
+    One shard per CPU this process may run on, each at least
+    _SHARD_MIN_BYTES long, cut at the first line start at or after an equal
+    split. None keeps the run serial: with an adapter (one scorer and one
+    pair table are what lets no pair be sent twice), on a dump that is not
+    a regular file, on one too small for two shards, while another thread
+    runs (fork copies only the calling thread), or where fork is missing.
+    """
+    if (args.adapter_cmd is not None or threading.active_count() > 1
+            or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")):
+        return None
+    try:
+        info = os.stat(args.predictions)
+    except OSError:
+        return None  # the serial read reports it
+    size = info.st_size
+    n = min(len(os.sched_getaffinity(0)), size // _SHARD_MIN_BYTES)
+    if not stat.S_ISREG(info.st_mode) or n < 2:
+        return None
+    cuts = [0]
+    with open(args.predictions, "rb") as f:
+        for k in range(1, n):
+            # From the byte before the split, so a line starting there is not skipped.
+            f.seek(max(size * k // n - 1, cuts[-1]))
+            f.readline()
+            if cuts[-1] < f.tell() < size:
+                cuts.append(f.tell())
+    return cuts + [size] if len(cuts) > 1 else None
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:

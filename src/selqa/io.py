@@ -34,7 +34,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 from .errors import DuplicateKeyError, ParseError
 from .metrics import RiskCoveragePoint, SweepRow
@@ -80,16 +80,25 @@ def load_predictions(path: str) -> list[PredictionRecord]:
     return list(iter_predictions(path))
 
 
-def iter_predictions(path: str) -> Iterator[PredictionRecord]:
+def iter_predictions(
+    path: str, start: int = 0, end: int | None = None, first_line: int = 1
+) -> Iterator[PredictionRecord]:
     """Parse and validate a prediction dump one line at a time, in file order.
 
     Errors carry the offending line number, and each record keeps its line.
     Lines are decoded one at a time, so invalid UTF-8 is reported at its line.
     Only the line being parsed is held; the file closes when the generator
     finishes or is closed.
+
+    start and end, byte offsets at line starts, limit the read to the lines
+    between them (end None: to the end of the file); first_line is the
+    number of the line at start.
     """
     with open(path, "rb") as f:
-        for lineno, raw in enumerate(f, start=1):
+        if start:  # a pipe cannot seek; it is only ever read from its start
+            f.seek(start)
+        lines = f if end is None else _lines_until(f, end - start)
+        for lineno, raw in enumerate(lines, start=first_line):
             where = f"line {lineno}"
             try:
                 line = raw.decode("utf-8")
@@ -106,6 +115,15 @@ def iter_predictions(path: str) -> Iterator[PredictionRecord]:
             if b"\\u" in raw:
                 _check_unicode(obj, path, where)
             yield _accepted_record(obj, lineno) or _checked_record(obj, lineno, path, where)
+
+
+def _lines_until(f: BinaryIO, size: int) -> Iterator[bytes]:
+    """The lines of f that start within its next size bytes."""
+    for raw in f:
+        if size <= 0:
+            return
+        size -= len(raw)
+        yield raw
 
 
 def _checked_record(obj: object, line: int, path: str, where: str) -> PredictionRecord:

@@ -73,16 +73,18 @@ class TestEvaluate:
                                "repetition.csv"]
 
     def test_leaves_numpy_unimported(self, tmp_path):
-        # only synth needs numpy; evaluate must not pay for importing it
+        # only synth needs numpy; evaluate must not pay for importing it, nor
+        # for pickle or multiprocessing, which forked shards do without
         script = (
             "import sys\n"
             "from selqa.cli import main\n"
+            "print(*(m in sys.modules for m in ('pickle', 'multiprocessing')))\n"
             f"code = main(['evaluate', '--predictions', {GOLDEN_PRED!r}, '--gold', "
             f"{GOLDEN_GOLD!r}, '--out', {str(tmp_path / 'report.md')!r}])\n"
             "print(code, 'numpy' in sys.modules)\n"
         )
         proc = run_python(["-c", script], timeout=60)
-        assert proc.stdout == "0 False\n", proc.stderr
+        assert proc.stdout == "False False\n0 False\n", proc.stderr
         assert (tmp_path / "report.md").read_bytes() == (DATA_DIR / "golden_report.md").read_bytes()
 
     def test_single_method_projection(self, tmp_path, capsys):
@@ -117,6 +119,26 @@ class TestEvaluate:
         code = run(subcommand, "--predictions", str(tmp_path / "ghost.jsonl"),
                    "--gold", str(tmp_path / "ghost.json"), "--adapter-cmd", command)
         assert code == 1
+        assert capsys.readouterr().err == f"usage error: {reason}\n"
+
+    @pytest.mark.parametrize("subcommand,gold", [
+        ("evaluate", True), ("score", True), ("score", False), ("sweep", True),
+    ])
+    @pytest.mark.parametrize("flags,reason", [
+        (["--threshold", "2"], "--threshold must lie in [0, 1]"),
+        (["--threshold", "nan", "--classifier", "bleu-threshold"],
+         "--threshold must lie in [0, 1]"),
+        (["--classifier", "adapter-threshold"],
+         "--classifier adapter-threshold requires --adapter-cmd"),
+    ], ids=["threshold-2", "threshold-nan", "adapter-threshold-without-adapter"])
+    def test_classifier_flags_rejected_before_io(
+        self, tmp_path, capsys, subcommand, gold, flags, reason
+    ):
+        # score checks them without --gold too, where no classifier is built
+        inputs = ["--predictions", str(tmp_path / "ghost.jsonl")]
+        if gold:
+            inputs += ["--gold", str(tmp_path / "ghost.json")]
+        assert run(subcommand, *inputs, *flags) == 1
         assert capsys.readouterr().err == f"usage error: {reason}\n"
 
     def test_bad_targets_rejected(self, capsys):

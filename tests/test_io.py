@@ -117,6 +117,18 @@ class TestPredictionDump:
         with pytest.raises(ParseError, match="line 2"):
             next(records)
 
+    def test_byte_ranges_read_whole_lines(self, tmp_path):
+        line = '{"question_id":"q%d","greedy":{"text":"x","logprobs":[-1]},"samples":[]}\n'
+        path = write(tmp_path / "p.jsonl", line % 1 + "\n" + line % 3 + line % 4)
+        data = (tmp_path / "p.jsonl").read_bytes()
+        whole = [(r.question_id, r.line) for r in iter_predictions(path)]
+        assert whole == [("q1", 1), ("q3", 3), ("q4", 4)]
+        # at each line start, the lines before it and those from it make the whole
+        for cut in [0] + [i + 1 for i, byte in enumerate(data) if byte == ord("\n")]:
+            before = list(iter_predictions(path, 0, cut))
+            after = iter_predictions(path, cut, None, data.count(b"\n", 0, cut) + 1)
+            assert [(r.question_id, r.line) for r in [*before, *after]] == whole
+
     def test_blank_lines_skipped(self, tmp_path):
         text = '\n{"question_id":"a","greedy":{"text":"x","logprobs":[-1]},"samples":[]}\n\n'
         assert len(load_predictions(write(tmp_path / "p.jsonl", text))) == 1
