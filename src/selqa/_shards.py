@@ -34,7 +34,7 @@ from .errors import AdapterError, DataError
 from .records import PredictionRecord, ScoredPrediction
 
 #: Records a worker encodes into one frame.
-_BATCH = 512
+_BATCH = 64
 #: Bytes of a frame's length prefix.
 _HEADER = 8
 #: Bytes read at a time when counting newlines.

@@ -357,5 +357,6 @@ class TestServesSerially:
             code, _, _, _ = sharded(2, "score", "--predictions", GOLDEN_PRED)
         finally:
             release.set()
-            thread.join()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
         assert code == 0 and sharded.forks == []
