@@ -1,22 +1,22 @@
-"""Forked workers that score shards of a dump, merged back in file order.
+"""Forked workers that run the scoring step on shards of a dump, merged in file order.
 
-cli._score decides when a run is sharded and cuts the dump at line starts;
-this module runs the shards after the first, which the parent scores
-itself. Only the sharded path imports it.
+cli._score decides when a run is sharded, cuts the dump at line starts and
+hands over its scoring step; this module runs the step on the shards after
+the first, which the parent scores itself. Only the sharded path imports it,
+and it is the only module that knows how the step's items travel.
 
-A worker scores its byte range with the parent's own scoring step, looks
-each record up in the gold index it inherited and scores only the matched
-ones, as the join does. It keeps every record as a compact tuple, encoded
-with marshal in frames of _BATCH records (marshal is built in and already
-loaded, where importing pickle alone would add about 0.4 MiB to the
-parent's peak), and after its last line writes the frames to its pipe,
-each behind an 8-byte length, then a zero length as its end marker. It stops at its first error, which its last frame carries, and it
-leaves through os._exit, so it never flushes inherited stdio or runs
-atexit handlers.
+A worker runs the step over its byte range and keeps each item as a tuple
+of marshal-able fields, encoded in frames of _BATCH items (marshal is built
+in and already loaded, where importing pickle alone would add about 0.4 MiB
+to the parent's peak). After its last line it writes the frames to its
+pipe, each behind an 8-byte length, then a zero length as its end marker.
+It stops at its first error, which its last item carries, and it leaves
+through os._exit, so it never flushes inherited stdio or runs atexit
+handlers.
 
-The parent reads one frame at a time, worker by worker, and yields each
-record as a Shipped record, which the join and the scoring loop take in
-place of a parsed one: duplicate ids, the join summary and the first error
+The parent reads one frame at a time, worker by worker, and decodes each
+item back to the step's own item, so the join and the loop take it as they
+take the parent's own: duplicate ids, the join summary and the first error
 are decided in file order, as in a serial run. A worker that exits before
 its end marker, or with a non-zero status, is an error naming its lines.
 """
@@ -27,13 +27,14 @@ import marshal
 import os
 import signal
 from contextlib import suppress
-from typing import Callable, Iterator, Mapping, NoReturn, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import io as selqa_io
+from .cli import _Scored
 from .errors import AdapterError, DataError
 from .records import PredictionRecord, ScoredPrediction
 
-#: Records a worker encodes into one frame.
+#: Items a worker encodes into one frame.
 _BATCH = 64
 #: Bytes of a frame's length prefix.
 _HEADER = 8
@@ -41,44 +42,9 @@ _HEADER = 8
 _CHUNK = 1 << 20
 #: The errors a worker sends, by index: the classes main() maps to exit codes.
 _KINDS = (DataError, AdapterError, OSError)
-#: The gold entry of every record when a run has no gold file.
-_NO_GOLD = ((), False)
 
-#: The parent's scoring step: a record and its gold entry to a scored row.
-Score = Callable[[PredictionRecord, tuple[str, ...], bool], ScoredPrediction]
-
-
-class Shipped:
-    """A record a worker has read, as the join and the scoring loop see it.
-
-    row is (triggered, scores in method order, verdicts in classifier
-    order), or None for a record the gold index lacks; error is the
-    scoring error the record raised.
-    """
-
-    __slots__ = ("question_id", "line", "row", "error")
-
-    def __init__(self, question_id: str, line: int, row: tuple | None,
-                 error: Exception | None = None) -> None:
-        self.question_id = question_id
-        self.line = line
-        self.row = row
-        self.error = error
-
-    def scored(
-        self, methods: Sequence[str], classifiers: Sequence[str], answerable: bool
-    ) -> ScoredPrediction:
-        """The record's scored row, checked again as it is rebuilt."""
-        if self.error is not None:
-            raise self.error
-        triggered, scores, verdicts = self.row
-        return ScoredPrediction(
-            question_id=self.question_id,
-            triggered=triggered,
-            scores=dict(zip(methods, scores)),
-            correct=dict(zip(classifiers, verdicts)),
-            answerable=answerable,
-        )
+#: The parent's scoring step: records to their items, in order.
+Step = Callable[[Iterable[PredictionRecord]], Iterator[_Scored]]
 
 
 class Worker:
@@ -95,7 +61,7 @@ class Worker:
         self.pid: int | None = pid
         self.pipe = open(fd, "rb")
 
-    def __iter__(self) -> Iterator[Shipped]:
+    def __iter__(self) -> Iterator[_Scored]:
         while True:
             header = self.pipe.read(_HEADER)
             size = int.from_bytes(header, "little")
@@ -104,14 +70,13 @@ class Worker:
                 raise self._reaped(ended=False)
             if not size:
                 break
-            items, error = marshal.loads(frame)
-            for line, question_id, row in items:
-                yield Shipped(question_id, line, row)
-            if error is not None:
-                line, question_id, kind, message = error
-                if question_id is None:  # a line that did not parse
-                    raise _KINDS[kind](message)
-                yield Shipped(question_id, line, None, _KINDS[kind](message))
+            for question_id, line, fields, error in marshal.loads(frame):
+                if error is not None:
+                    error = _KINDS[error[0]](error[1])
+                    if question_id is None:  # a line that did not parse
+                        raise error
+                row = None if fields is None else ScoredPrediction(question_id, *fields)
+                yield _Scored(question_id, line, row, error)
         failure = self._reaped(ended=True)
         if failure is not None:
             raise failure
@@ -142,10 +107,8 @@ class Worker:
             self.pid = None
 
 
-def fork_workers(
-    path: str, cuts: Sequence[int], gold: Mapping[str, tuple] | None, score: Score
-) -> list[Worker] | None:
-    """Fork a worker for each shard but the first; None, with none left, if a fork fails."""
+def fork_workers(path: str, cuts: Sequence[int], step: Step) -> list[Worker]:
+    """Fork a worker for each shard but the first; [], with no worker left, if a fork fails."""
     workers: list[Worker] = []
     try:
         for start, end in zip(cuts[1:], cuts[2:]):
@@ -158,12 +121,12 @@ def fork_workers(
                 raise
             if pid == 0:
                 unused = [read_fd, *(worker.pipe.fileno() for worker in workers)]
-                _work(path, start, end, gold, score, write_fd, unused)
+                _work(path, start, end, step, write_fd, unused)
             os.close(write_fd)
             workers.append(Worker(path, start, end, pid, read_fd))
     except OSError:
         stop(workers)
-        return None
+        return []
     except BaseException:
         stop(workers)
         raise
@@ -177,10 +140,9 @@ def stop(workers: Sequence[Worker]) -> None:
 
 
 def _work(
-    path: str, start: int, end: int, gold: Mapping[str, tuple] | None, score: Score,
-    fd: int, unused: Sequence[int],
+    path: str, start: int, end: int, step: Step, fd: int, unused: Sequence[int]
 ) -> NoReturn:
-    """A worker's life: score its shard, write the frames and the end marker, exit.
+    """A worker's life: run the step on its shard, write the frames and the end marker, exit.
 
     unused are the pipe ends the worker inherited but does not write.
     """
@@ -188,7 +150,7 @@ def _work(
     try:
         for other in unused:
             os.close(other)
-        frames = _frames(path, start, end, gold, score)
+        frames = _frames(path, start, end, step)
         with open(fd, "wb") as out:
             for frame in frames:
                 out.write(len(frame).to_bytes(_HEADER, "little"))
@@ -199,35 +161,31 @@ def _work(
         os._exit(status)
 
 
-def _frames(
-    path: str, start: int, end: int, gold: Mapping[str, tuple] | None, score: Score
-) -> list[bytes]:
-    """The shard's records as encoded (items, error) frames; only the last has an error."""
+def _frames(path: str, start: int, end: int, step: Step) -> list[bytes]:
+    """The shard's items, encoded in frames; only the last item of the last may hold an error."""
     frames: list[bytes] = []
     items: list[tuple] = []
-    error = None
     records = selqa_io.iter_predictions(path, start, end, line_at(path, start))
     try:
-        for record in records:
-            entry = _NO_GOLD if gold is None else gold.get(record.question_id)
-            row = None
-            if entry is not None:
-                try:
-                    scored = score(record, *entry)
-                except (DataError, AdapterError) as exc:
-                    error = (record.line, record.question_id, _kind(exc), str(exc))
-                    break
-                row = (scored.triggered, tuple(scored.scores.values()),
-                       tuple(scored.correct.values()))
-            items.append((record.line, record.question_id, row))
+        for item in step(records):
+            row, error = item.row, item.error
+            items.append((
+                item.question_id,
+                item.line,
+                None if row is None else
+                (row.triggered, row.scores, row.correct, row.answerable),
+                None if error is None else (_kind(error), str(error)),
+            ))
+            if error is not None:
+                break
             if len(items) == _BATCH:
-                frames.append(marshal.dumps((items, None)))
+                frames.append(marshal.dumps(items))
                 items = []
     except (DataError, OSError) as exc:  # a line that does not parse, or a failed read
-        error = (None, None, _kind(exc), str(exc))
+        items.append((None, None, None, (_kind(exc), str(exc))))
     finally:
         records.close()
-    frames.append(marshal.dumps((items, error)))
+    frames.append(marshal.dumps(items))
     return frames
 
 

@@ -6,27 +6,32 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 adapter error.
 
 evaluate, score and sweep share one scoring loop (_score) that streams the
 dump: the adapter is launched, the gold file, if any, is read into a
-compact index, and then each dump line is parsed, checked, joined and
-scored in turn, so the process holds the scored rows and one record, never
-the whole dump. score without --gold joins nothing, so ids may repeat. A
-record the loader accepts but a scoring method cannot score (no greedy
-logprobs, no samples, sample probabilities summing above 1) is a data error
-naming the file, the line and the question id; an adapter failure while a
-record is scored, or a repeated id, names them too.
+compact index, and then each dump line is parsed and checked, goes through
+one scoring step and is joined in turn, so the process holds the scored
+rows and one record, never the whole dump. score without --gold joins
+nothing, so ids may repeat. A record the loader accepts but a scoring
+method cannot score (no greedy logprobs, no samples, sample probabilities
+summing above 1) is a data error naming the file, the line and the
+question id; an adapter failure while a record is scored, or a repeated
+id, names them too.
 
 Errors are reported in that order. A gold error comes first. After it, the
 first failing dump line wins, whether it fails to parse, repeats an id,
 cannot be scored (exit 2) or breaks the adapter (exit 3), so lines before
-it have already been scored, adapter requests included. The join summary
-is printed once the last line is read. Outputs are written only after that,
-all or none (each staged under its own name in a temp directory beside its
-target, then all renamed), and are byte-identical across runs.
+it have already been scored, adapter requests included. The step keeps a
+record's scoring error for the loop to raise once the join has passed the
+record, so a line that repeats an id is scored before it is rejected, and
+the duplicate is reported even when the line cannot be scored. The join
+summary is printed once the last line is read. Outputs are written only
+after that, all or none (each staged under its own name in a temp
+directory beside its target, then all renamed), and are byte-identical
+across runs.
 
 With more than one CPU, a dump that is a regular file of at least two
 shards' minimum bytes is cut at line starts once the gold index is built;
 forked workers (selqa._shards) run the loop's scoring step on every shard
-but the first, which the process scores itself, and their records join
-the loop in file order, so the join summary, the first error, the outputs
+but the first, which the process scores itself, and their items join the
+loop in file order, so the join summary, the first error, the outputs
 and the exit code are those of a serial run. A run stays serial with an
 adapter, on a pipe or FIFO, on a small dump and while another thread runs.
 """
@@ -42,14 +47,14 @@ import sys
 import tempfile
 import threading
 from dataclasses import asdict
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import io as selqa_io
 from . import metrics, scoring
 from .correctness import CorrectnessClassifier
-from .errors import AdapterError, DataError, UsageError
+from .errors import AdapterError, DataError, SelqaError, UsageError
 from .similarity import BleuSimilarity, SimilarityFn
 from .records import PredictionRecord, ScoredPrediction
 
@@ -257,16 +262,31 @@ def _naming(exc: OSError, path: str) -> OSError:
     return OSError(exc.errno, exc.strerror, path)
 
 
+class _Scored(NamedTuple):
+    """One dump record after the scoring step, as the join and the loop take it.
+
+    row is None for a record the gold index lacks, which is not scored;
+    error is the located error scoring the record raised, which the loop
+    raises once the join has passed the record.
+    """
+
+    question_id: str
+    line: int
+    row: ScoredPrediction | None
+    error: SelqaError | None
+
+
 def _score(
     args: argparse.Namespace, methods: Sequence[str]
 ) -> tuple[list[ScoredPrediction], CorrectnessClassifier | None, str]:
     """Score each dump record as the dump is read, joined to the gold index if any.
 
     Returns the scored rows, the classifier (None without --gold, when rows
-    carry no verdicts and ids may repeat) and the similarity's name. When
-    _shard_cuts cuts the dump, forked workers (selqa._shards) score every
-    shard but the first, and their records join the loop in file order
-    after this process's own shard.
+    carry no verdicts and ids may repeat) and the similarity's name. Every
+    record goes through one scoring step. When _shard_cuts cuts the dump,
+    forked workers (selqa._shards) run that step on every shard but the
+    first, and their items join the loop in file order after this
+    process's own shard.
     """
     _check_classifier_flags(args)
     with _build_similarity(args) as fn:
@@ -274,39 +294,38 @@ def _score(
         classifiers = (classifier,) if classifier else ()
         gold = selqa_io.load_gold_index(args.gold) if args.gold else None
 
-        def score(
-            record: PredictionRecord, golds: tuple[str, ...], answerable: bool
-        ) -> ScoredPrediction:
-            try:
-                return scoring.score_joined(
-                    record, golds, answerable, methods, fn, classifiers
-                )
-            except ValueError as exc:
-                raise DataError(_located(args.predictions, record, exc)) from exc
-            except AdapterError as exc:
-                raise AdapterError(_located(args.predictions, record, exc)) from exc
+        def step(records: Iterable[PredictionRecord]) -> Iterator[_Scored]:
+            for record in records:
+                # without gold: no answers to check, and an answerable flag no output reads
+                entry = gold.get(record.question_id) if gold is not None else ((), False)
+                row = error = None
+                if entry is not None:
+                    try:
+                        row = scoring.score_joined(record, *entry, methods, fn, classifiers)
+                    except ValueError as exc:
+                        error = DataError(_located(args.predictions, record, exc))
+                    except AdapterError as exc:
+                        error = AdapterError(_located(args.predictions, record, exc))
+                yield _Scored(record.question_id, record.line, row, error)
 
         cuts = _shard_cuts(args)
         workers = []
         if cuts is not None:
             from . import _shards
 
-            workers = _shards.fork_workers(args.predictions, cuts, gold, score) or []
+            workers = _shards.fork_workers(args.predictions, cuts, step)
         head = selqa_io.iter_predictions(args.predictions, 0, cuts[1] if workers else None)
         summary = selqa_io.JoinSummary()
         try:
-            records = chain(head, *workers)
+            items = chain(step(head), *workers)
             if gold is not None:
-                pairs = selqa_io.join_stream(records, gold, summary, args.predictions)
-            else:  # no answers to check, and an answerable flag no output reads
-                pairs = zip(records, repeat(((), False)))
-            names = [c.name for c in classifiers]
+                items = (item for item, _ in
+                         selqa_io.join_stream(items, gold, summary, args.predictions))
             scored = []
-            for record, (golds, answerable) in pairs:
-                if type(record) is PredictionRecord:
-                    scored.append(score(record, golds, answerable))
-                else:  # scored by a worker
-                    scored.append(record.scored(methods, names, answerable))
+            for item in items:
+                if item.error is not None:
+                    raise item.error
+                scored.append(item.row)
         finally:
             head.close()
             for worker in workers:

@@ -461,7 +461,7 @@ class _ChunkedText:
         self.mark = 0
         self.dropped = 0
 
-    def more(self, size: int = _CHUNK) -> bool:
+    def more(self, size: int) -> bool:
         """Append up to size more characters; False at end of file."""
         if self.mark:
             self.dropped += self.mark
@@ -478,7 +478,7 @@ class _ChunkedText:
             if self.pos < len(self.buf):
                 return
             self.mark = self.pos
-            if not self.more():
+            if not self.more(_CHUNK):
                 return
 
     def skip(self, char: str) -> bool:

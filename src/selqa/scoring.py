@@ -44,7 +44,11 @@ def likelihood_score(answer: SampledAnswer) -> float:
     """Sequence probability of one answer via the chain rule."""
     if not answer.logprobs:
         raise ValueError("likelihood needs at least one token logprob")
-    return math.exp(math.fsum(answer.logprobs))
+    try:
+        total = math.fsum(answer.logprobs)
+    except OverflowError:  # the sum left the float range; logprobs are <= 0, so toward -inf
+        return 0.0
+    return math.exp(total)
 
 
 _Groups = dict[str, list[SampledAnswer]]

@@ -59,6 +59,8 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.samples_per_q < 1:
             raise ValueError(f"samples_per_q must be >= 1, got {self.samples_per_q}")
         if not -1.0 <= self.miscalibration_shift <= 1.0:

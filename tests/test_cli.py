@@ -515,17 +515,20 @@ class TestUnscorableRecords:
 class TestDuplicateIds:
     @pytest.mark.parametrize("command", ["evaluate", "score", "sweep"])
     def test_repeated_dump_id_names_its_line(self, tmp_path, capsys, command):
-        pred = tmp_path / "p.jsonl"
-        pred.write_text(SCORABLE + "\n\n" + SCORABLE + "\n")  # line 3 repeats line 1
-        gold = tmp_path / "g.json"
-        gold.write_text(json.dumps([{"question_id": "q-good", "answers": [{"answer": "yes"}]}]))
-        out = tmp_path / "out"
-        code = run(command, "--predictions", str(pred), "--gold", str(gold), "--out", str(out))
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"data error: {pred}: line 3: question_id 'q-good': duplicate question_id\n"
-        )
-        assert not out.exists()
+        # the repeat is reported even when its own line cannot be scored
+        unscorable = UNSCORABLE["no-samples"].replace("q-nosamples", "q-good")
+        for repeat in (SCORABLE, unscorable):
+            pred = tmp_path / "p.jsonl"
+            pred.write_text(SCORABLE + "\n\n" + repeat + "\n")  # line 3 repeats line 1
+            gold = tmp_path / "g.json"
+            gold.write_text(json.dumps([{"question_id": "q-good", "answers": [{"answer": "yes"}]}]))
+            out = tmp_path / "out"
+            code = run(command, "--predictions", str(pred), "--gold", str(gold), "--out", str(out))
+            assert code == 2
+            assert capsys.readouterr().err == (
+                f"data error: {pred}: line 3: question_id 'q-good': duplicate question_id\n"
+            )
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "score", "sweep"])
     def test_repeated_gold_id_names_its_record(self, tmp_path, capsys, command):
@@ -626,7 +629,11 @@ class TestSynth:
         assert "unanswerable" in line["greedy"]["text"]
 
     def test_invalid_config_is_usage_error(self, tmp_path, capsys):
-        assert run("synth", "--out", str(tmp_path / "x"), "--n", "0", "--seed", "1") == 1
+        for n, seed, message in [("0", "1", "n must be >= 1, got 0"),
+                                 ("3", "-1", "seed must be >= 0, got -1")]:
+            assert run("synth", "--out", str(tmp_path / "x"), "--n", n, "--seed", seed) == 1
+            assert capsys.readouterr().err == f"usage error: {message}\n"
+            assert not (tmp_path / "x").exists()
 
 
 class TestUsage:

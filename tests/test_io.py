@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from selqa import (
     SampledAnswer,
 )
 from selqa import io as selqa_io
-from selqa.errors import DuplicateKeyError
+from selqa.errors import DataError, DuplicateKeyError
 from selqa.io import (
     _accepted_record,
     _prediction_from_obj,
@@ -444,6 +445,46 @@ def multi_chunk_gold():
 _VALID = '{"question_id": "q1", "answers": [{"answer": "a"}]}'
 
 
+@pytest.fixture(scope="class")
+def gold_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("gold") / "g.json"
+
+
+_gold_arrays = st.lists(
+    st.fixed_dictionaries(
+        {"question_id": st.text(max_size=6),
+         "answers": st.lists(st.fixed_dictionaries(
+             {"answer": st.text(max_size=10)},
+             optional={"answerable": st.booleans(), "answer_confidence": st.just("yes")},
+         ), min_size=1, max_size=3)},
+        optional={"answerable": st.booleans()},
+    ),
+    max_size=5, unique_by=lambda record: record["question_id"],
+)
+_valid_gold = st.builds(
+    lambda records, indent, ascii: json.dumps(records, indent=indent, ensure_ascii=ascii).encode(),
+    _gold_arrays, st.sampled_from([None, 0, 2]), st.booleans(),
+)
+# valid files, each with a few of its bytes replaced, and arbitrary bytes
+_gold_bytes = st.one_of(
+    _valid_gold,
+    st.builds(lambda data, at, new: data[:at % (len(data) + 1)] + new + data[at % (len(data) + 1) + 1:],
+              _valid_gold, st.integers(0, 500), st.binary(max_size=2)),
+    st.binary(max_size=200),
+)
+
+
+def _whole_file_index(records):
+    """The gold index of a parsed array, built from the format's rules."""
+    return {
+        r["question_id"]: (
+            tuple(dict.fromkeys(normalize_answer(a["answer"]) for a in r["answers"])),
+            any(a.get("answerable", r.get("answerable", True)) for a in r["answers"]),
+        )
+        for r in records
+    }
+
+
 class TestGoldStreaming:
     """The gold file is read in chunks; results and errors match a whole-file parse."""
 
@@ -599,6 +640,26 @@ class TestGoldStreaming:
                      tmp_path / "multi.json", tmp_path / "synth.json"):
             assert load_gold(str(path))
             assert load_gold_index(str(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_gold_bytes, chunk=st.integers(1, 64))
+    def test_any_bytes_give_an_index_or_a_data_error(self, gold_path, data, chunk):
+        # small chunks put a chunk end inside every token of a short file
+        gold_path.write_bytes(data)
+        with patch.object(selqa_io, "_CHUNK", chunk):
+            try:
+                index = load_gold_index(str(gold_path))
+            except DataError:
+                return
+        assert index == _whole_file_index(json.loads(data.decode("utf-8")))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=_valid_gold, chunk=st.integers(1, 64))
+    def test_a_valid_array_gives_the_whole_file_index(self, gold_path, data, chunk):
+        gold_path.write_bytes(data)
+        with patch.object(selqa_io, "_CHUNK", chunk):
+            index = load_gold_index(str(gold_path))
+        assert index == _whole_file_index(json.loads(data.decode("utf-8")))
 
 
 def prediction(qid):

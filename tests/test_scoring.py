@@ -73,6 +73,13 @@ class TestLikelihood:
         with pytest.raises(ValueError):
             likelihood_score(SampledAnswer("", ()))
 
+    def test_sum_past_the_float_range_is_probability_zero(self):
+        # each logprob is finite, but fsum overflows on their sum
+        assert likelihood_score(ans("x", -1e308, -1e308)) == 0.0
+        assert avg_bleu_score([ans("x", -1e308, -1e308), ans("y", -1.0)]) == pytest.approx(
+            math.exp(-1) / 2, abs=1e-12
+        )
+
 
 class TestRepetition:
     def test_unanimous(self):

@@ -168,6 +168,27 @@ class TestEqualBytes:
         )
         assert code == 0 and len(written[str(tmp_path / "out")].splitlines()) == 300
 
+    def test_logprob_sum_past_the_float_range(self, sharded, tmp_path, monkeypatch):
+        # each logprob is finite, but their sum overflows: a probability of 0, not a crash
+        lines = [_line(f"q{i}") for i in range(6)]
+        lines[1] = lines[1].replace('"logprobs":[-0.1]', '"logprobs":[-1e308,-1e308]')  # greedy
+        lines[4] = lines[4].replace('"logprobs":[-0.5]', '"logprobs":[-1e308,-1e308]')  # first sample
+        pred = tmp_path / "p.jsonl"
+        pred.write_text("".join(line + "\n" for line in lines))
+        # in the parent's shard and in a worker's
+        assert [_shard_of(str(pred), line, 2, monkeypatch) for line in (2, 5)] == [0, 1]
+        gold = tmp_path / "g.json"
+        gold.write_text(json.dumps([{"question_id": f"q{i}", "answers": [{"answer": "red apple"}]}
+                                    for i in range(6)]))
+        out = tmp_path / "out"
+        code, _, err, written = _same_at_any_count(sharded, "score", "--predictions", pred,
+                                                   "--gold", gold, "--out", out)
+        assert (code, err) == (0, "")
+        rows = [json.loads(row) for row in written[str(out)].splitlines()]
+        assert rows[1]["scores"]["likelihood"] == 0.0
+        # the first sample's weight drops to 0
+        assert 0.0 < rows[4]["scores"]["avg-bleu"] < rows[0]["scores"]["avg-bleu"]
+
 
 class TestErrorOrder:
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -206,16 +227,21 @@ class TestErrorOrder:
         pred = tmp_path / "p.jsonl"
         ids = [f"q{i}" for i in range(1, 7)]
         ids[repeat - 1] = ids[first - 1]
-        pred.write_text("".join(_line(q) + "\n" for q in ids) + "{not json\n")
         gold = tmp_path / "g.json"
         # q5 is not in the gold file: a repeat counts before the join
         gold.write_text(json.dumps([{"question_id": f"q{i}", "answers": [{"answer": "x"}]}
                                     for i in range(1, 4)]))
-        code, _, err, _ = _same_at_any_count(sharded, "evaluate", "--predictions", pred,
-                                             "--gold", gold)
-        assert code == 2
-        assert err == (f"data error: {pred}: line {repeat}: question_id {ids[first - 1]!r}: "
-                       "duplicate question_id\n")
+        # the repeat is reported even when its own line cannot be scored
+        unscorable = MALFORMED["no-samples"].replace('"bad"', json.dumps(ids[first - 1]))
+        for repeated in (_line(ids[first - 1]), unscorable):
+            lines = [_line(q) for q in ids]
+            lines[repeat - 1] = repeated
+            pred.write_text("".join(line + "\n" for line in lines) + "{not json\n")
+            code, _, err, _ = _same_at_any_count(sharded, "evaluate", "--predictions", pred,
+                                                 "--gold", gold)
+            assert code == 2
+            assert err == (f"data error: {pred}: line {repeat}: question_id {ids[first - 1]!r}: "
+                           "duplicate question_id\n")
 
     def test_unscorable_unmatched_record_in_a_worker(self, sharded, tmp_path, monkeypatch):
         # the join drops it before scoring; the worker must go on past it

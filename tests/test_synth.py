@@ -23,6 +23,7 @@ class TestConfig:
             dict(n=5, seed=1, paraphrase_cluster_rate=-0.1),
             dict(n=5, seed=1, miscalibration_shift=2.0),
             dict(n=5, seed=1, samples_per_q=0),
+            dict(n=5, seed=-1),
         ],
     )
     def test_invalid(self, kwargs):
