@@ -11,18 +11,22 @@ than trusted. ExternalSimilarity owns one scorer process, both of its pipes
 and a lock, and holds the lock for each whole exchange, so callers that share
 it across threads never read each other's replies.
 
-An exchange writes all of its requests before it has read every reply, so a
-scorer sees requests pipelined and must answer each line with one line, in
-order. ``score_matrix`` keeps every score it has received, for avg-similarity
-and verdicts alike, in a run-wide table and never sends a pair twice, so a
-scorer must be a function of (a, b).
+An exchange is one poll loop that writes its requests as the stdin pipe
+takes them and reads replies as they come, so a scorer sees requests
+pipelined and must answer each line with exactly one line, in order. Bytes
+read past an exchange's last reply answer no request and fail it with
+AdapterError; as the protocol carries no request ids, a surplus reply that
+arrives only after its exchange has all its replies is read by the next
+exchange as its first. ``score_matrix`` keeps every score it has received,
+for avg-similarity and verdicts alike, in a run-wide table and never sends
+a pair twice, so a scorer must be a function of (a, b).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import selectors
+import select
 import shlex
 import subprocess
 import threading
@@ -67,7 +71,10 @@ class ExternalSimilarity(SimilarityFn):
             raise AdapterError(f"failed to launch adapter {argv!r}: {exc}") from exc
         # Writes never block, so a full stdin pipe cannot stall the reads.
         os.set_blocking(self._proc.stdin.fileno(), False)
-        self._unread = bytearray()  # reply bytes past the last complete line
+        # stdout stays registered for the scorer's life; each exchange
+        # registers stdin while it has requests to write.
+        self._poller = select.poll()
+        self._poller.register(self._proc.stdout, select.POLLIN)
         # One exchange at a time on the shared pipes and the pair table.
         self._lock = threading.Lock()
         self._table: dict[str, dict[str, float]] = {}
@@ -103,7 +110,7 @@ class ExternalSimilarity(SimilarityFn):
             ).encode("utf-8")
         except UnicodeEncodeError as exc:
             raise AdapterError(f"adapter pipe broke: {exc}") from exc
-        lines = self._transfer(payload, len(pairs))
+        lines, surplus = self._transfer(payload, len(pairs))
         scores = []
         for raw in lines:
             try:
@@ -113,6 +120,9 @@ class ExternalSimilarity(SimilarityFn):
             scores.append(_parse_reply(line))
         if len(scores) < len(pairs):
             raise AdapterError(f"adapter closed its output ({self._status()})")
+        if surplus:
+            text = surplus[:200].decode("utf-8", "replace")
+            raise AdapterError(f"adapter sent more replies than requests: {text!r}")
         return scores
 
     def _status(self) -> str:
@@ -122,33 +132,48 @@ class ExternalSimilarity(SimilarityFn):
         except subprocess.TimeoutExpired:
             return "still running"
 
-    def _transfer(self, payload: bytes, count: int) -> list[bytes]:
-        """Write the payload and read up to count reply lines, neither blocking the other.
+    def _transfer(self, payload: bytes, count: int) -> tuple[list[bytes], bytes]:
+        """Write the payload and read count reply lines in one poll loop.
 
-        What the stdin pipe does not take at once goes out as the selector
-        finds room, while replies are read as they come, so a scorer blocked
-        on a full stdout pipe never stalls the writes. Fewer than count lines
-        come back only when the scorer closes its output; a trailing line
-        without its newline then counts as a reply.
+        stdin is polled while the payload is not all written and stdout
+        throughout, so a scorer blocked on a full stdout pipe never stalls
+        the writes, and the exchange ends once both are done. Returns the
+        reply lines and the bytes read past the count-th line, which answer
+        no request. Fewer than count lines come back only when the scorer
+        closes its output; a trailing line without its newline then counts
+        as a reply.
         """
         lines: list[bytes] = []
+        unread = bytearray()  # reply bytes past the last complete line
+        pending = memoryview(payload)
+        poller = self._poller
         try:
-            pending = self._write(memoryview(payload))
-            if pending:
-                with selectors.DefaultSelector() as selector:
-                    selector.register(self._proc.stdin, selectors.EVENT_WRITE)
-                    selector.register(self._proc.stdout, selectors.EVENT_READ)
-                    while pending:
-                        for key, _ in selector.select():
-                            if key.fileobj is self._proc.stdin:
-                                pending = self._write(pending)
-                            elif not self._read(lines, count):
-                                return lines
-            while len(lines) < count and self._read(lines, count):
-                pass
-            return lines
+            stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+            poller.register(stdin, select.POLLOUT)
+            try:
+                while pending or len(lines) < count:
+                    for fd, _ in poller.poll():
+                        if fd == stdin:
+                            pending = self._write(pending)
+                            if not pending:
+                                poller.unregister(stdin)
+                            continue
+                        chunk = os.read(stdout, 1 << 16)
+                        if not chunk:
+                            if unread and len(lines) < count:
+                                lines.append(bytes(unread))
+                                unread.clear()
+                            return lines, bytes(unread)
+                        unread += chunk
+                        while len(lines) < count and (end := unread.find(b"\n")) >= 0:
+                            lines.append(bytes(unread[:end + 1]))
+                            del unread[:end + 1]
+            finally:
+                if pending:
+                    poller.unregister(stdin)
         except (OSError, ValueError) as exc:
             raise AdapterError(f"adapter pipe broke: {exc}") from exc
+        return lines, bytes(unread)
 
     def _write(self, pending: memoryview) -> memoryview:
         """Write what the stdin pipe takes now and return the rest.
@@ -161,24 +186,6 @@ class ExternalSimilarity(SimilarityFn):
             return pending
         except BrokenPipeError:
             return pending[:0]
-
-    def _read(self, lines: list[bytes], count: int) -> bool:
-        """Read one chunk of replies, moving whole lines to lines up to count.
-
-        False once the scorer has closed its output.
-        """
-        chunk = os.read(self._proc.stdout.fileno(), 1 << 16)
-        unread = self._unread
-        if not chunk:
-            if unread and len(lines) < count:
-                lines.append(bytes(unread))
-                unread.clear()
-            return False
-        unread += chunk
-        while len(lines) < count and (end := unread.find(b"\n")) >= 0:
-            lines.append(bytes(unread[:end + 1]))
-            del unread[:end + 1]
-        return True
 
     def close(self) -> None:
         """Close both pipes and reap the scorer, killing it if it lingers."""

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import stat
@@ -144,6 +145,10 @@ def _add_classifier_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _parse_methods(args: argparse.Namespace) -> list[str]:
+    # avg-<name> is a cell of the csv and markdown tables.
+    if any(ch in ',"|' or not ch.isprintable() for ch in args.adapter_name):
+        raise UsageError(f"--adapter-name {args.adapter_name!r}: a name may not hold "
+                         "',', '\"', '|' or a non-printable character")
     requested = [m.strip() for m in args.methods.split(",") if m.strip()]
     sim_name = args.adapter_name if args.adapter_cmd else "bleu"
     # Validates names before any file is opened.
@@ -202,9 +207,10 @@ def _write_outputs(
     An output without a path goes to stdout once the files are in place.
     Each file is staged under its target's name in a temp directory beside
     the target, so a name the file system cannot take fails before anything
-    is renamed. new_dir, if given, is made first, with its parents; if a
-    write fails, the directories this run made are removed again. An error
-    names the requested path, never a temp one, and leaves nothing behind.
+    is renamed, as does a target that is a directory. new_dir, if given, is
+    made first, with its parents; if a write fails, the directories this
+    run made are removed again. An error names the requested path, never a
+    temp one, and leaves nothing behind.
     """
     made: list[str] = []
     stages: dict[str, str] = {}  # target directory -> its temp directory
@@ -226,6 +232,10 @@ def _write_outputs(
                     f.write(data)
             except OSError as exc:
                 raise _naming(exc, out) from exc
+        # Refused as its rename would refuse it, but before any rename.
+        for _, out in reversed(staged):
+            if os.path.isdir(out) and not os.path.islink(out):
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         while staged:
             tmp, out = staged[-1]
             try:

@@ -15,8 +15,10 @@ selects the behavior:
     error             always {"error": "..."}
     garbage           non-JSON reply
     die               exit before answering the first request
+    twice             answer the first request twice, in one write
     <fault>-after:<n> jaccard for the first n requests, then the fault
-                      (error, garbage or die)
+                      (error, garbage, die or twice); after twice, jaccard
+                      again
 
 With REQUEST_LOG, each request line is appended to that file before its
 reply is written, so the requests a test sees counted are the ones the
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 import sys
 
-FAULTS = ("error", "garbage", "die")
+FAULTS = ("error", "garbage", "die", "twice")
 
 
 def jaccard(a: str, b: str) -> float:
@@ -64,7 +66,7 @@ def main() -> int:
         if log is not None:
             log.write(raw + "\n")
             log.flush()
-        if healthy is not None and answered >= healthy:
+        if healthy is not None and answered >= healthy and fault != "twice":
             if fault == "die":
                 return 7
             line = "not json at all" if fault == "garbage" else json.dumps(
@@ -74,6 +76,8 @@ def main() -> int:
                 line = f.read()
         else:
             line = json.dumps(reply(mode, json.loads(raw)))
+            if fault == "twice" and answered == healthy:
+                line += "\n" + line
         sys.stdout.write(line + "\n")
         sys.stdout.flush()
         answered += 1

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import shlex
 import sys
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -12,7 +13,7 @@ from selqa.adapter import ExternalSimilarity
 from selqa.cli import main
 from selqa.scoring import score_joined
 
-from conftest import DATA_DIR, adapter_cmd, ans, logged_requests, run_python
+from conftest import ADAPTER_SCRIPT, DATA_DIR, adapter_cmd, ans, logged_requests, run_python
 
 
 def jaccard(a, b):
@@ -21,13 +22,16 @@ def jaccard(a, b):
 
 
 # Replies past what Python reads from JSON as is: an integer too large for a
-# float, one past the digit limit of int(), and nesting past the stack.
+# float, one past the digit limit of int(), and nesting past the stack; then
+# JSON that holds no score.
 _UNREADABLE = [
     ('{"score": 1' + "0" * 400 + "}", r"'bad' returned inf, outside the \[0, 1\] contract"),
     ('{"score": ' + "1" * 5001 + "}", r"'bad' returned inf, outside the \[0, 1\] contract"),
     ("[" * 100_000 + "]" * 100_000, r"adapter sent invalid JSON: '\[\[\["),
+    ("[0.5]", r"adapter response is not an object: '\[0\.5\]\\n'$"),
+    ('{"value": 0.5}', r"""adapter response has no score: '\{"value": 0\.5\}\\n'$"""),
 ]
-_UNREADABLE_IDS = ["401-digits", "5001-digits", "nested-100000"]
+_UNREADABLE_IDS = ["401-digits", "5001-digits", "nested-100000", "array", "no-score"]
 
 
 class TestExternalSimilarity:
@@ -89,6 +93,46 @@ class TestExternalSimilarity:
         with ExternalSimilarity(adapter_cmd("die"), name="dead") as fn:
             with pytest.raises(AdapterError, match="closed its output"):
                 fn.similarity("a", "b")
+
+    def test_surplus_reply_fails_the_exchange_that_read_it(self):
+        # the fourth request is answered twice in one write, so the fourth
+        # exchange reads both replies, and the second answers no request
+        with ExternalSimilarity(adapter_cmd("twice-after:3"), name="dup") as fn:
+            assert [fn.similarity(f"w{i} x", "x") for i in range(3)] == [0.5] * 3
+            with pytest.raises(AdapterError, match=(
+                r"""^adapter sent more replies than requests: '\{"score": 0\.5\}\\n'$"""
+            )):
+                fn.similarity("w3 x", "x")
+
+    def test_surplus_reply_exits_3_through_the_cli(self, tmp_path, capsys):
+        # records 1 and 2 send 16 and 80 pairs, so request 96 ends line 2's exchange
+        predictions = DATA_DIR / "golden_predictions.jsonl"
+        code = main(["evaluate", "--predictions", str(predictions),
+                     "--gold", str(DATA_DIR / "golden_gold.json"),
+                     "--adapter-cmd", " ".join(adapter_cmd("twice-after:95")),
+                     "--out", str(tmp_path / "report.md"),
+                     "--curves-out", str(tmp_path / "curves")])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"adapter error: {predictions}: line 2: question_id 'q000001': "
+                              "adapter sent more replies than requests: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_banner_before_the_first_reply_is_invalid_json(self, capsys):
+        scorer = [sys.executable, "-c",
+                  "import runpy, sys; print('loading model', flush=True); "
+                  f"sys.argv[1:] = ['jaccard']; runpy.run_path({str(ADAPTER_SCRIPT)!r}, "
+                  "run_name='__main__')"]
+        predictions = DATA_DIR / "golden_predictions.jsonl"
+        code = main(["evaluate", "--predictions", str(predictions),
+                     "--gold", str(DATA_DIR / "golden_gold.json"),
+                     "--adapter-cmd", shlex.join(scorer), "--methods", "avg-bleu"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"adapter error: {predictions}: line 1: question_id 'q000000': "
+            "adapter sent invalid JSON: 'loading model\\n'\n"
+        )
 
     def test_pairwise_pipelines_past_full_pipes(self):
         # 576 requests of about 4 KiB and replies of 2 KiB: both directions

@@ -141,6 +141,31 @@ class TestEvaluate:
         assert run(subcommand, *inputs, *flags) == 1
         assert capsys.readouterr().err == f"usage error: {reason}\n"
 
+    @pytest.mark.parametrize("flags,reason", [
+        (["--bins", "0"], "--bins must be >= 1"),
+        (["--acc-targets", "x"], "bad --acc-targets: 'x'"),
+    ])
+    def test_report_flags_rejected_before_io(self, tmp_path, capsys, flags, reason):
+        code = run("evaluate", "--predictions", str(tmp_path / "ghost.jsonl"),
+                   "--gold", str(tmp_path / "ghost.json"), *flags)
+        assert code == 1
+        assert capsys.readouterr().err == f"usage error: {reason}\n"
+
+    @pytest.mark.parametrize("subcommand", ["evaluate", "score", "sweep"])
+    @pytest.mark.parametrize("name", ["a,b", "p|q", 'say "x"', "tab\tstop", "new\nline"],
+                             ids=["comma", "pipe", "quote", "tab", "newline"])
+    def test_adapter_name_that_breaks_a_table_rejected_before_io(
+        self, tmp_path, capsys, subcommand, name
+    ):
+        code = run(subcommand, "--predictions", str(tmp_path / "ghost.jsonl"),
+                   "--gold", str(tmp_path / "ghost.json"),
+                   "--adapter-cmd", " ".join(adapter_cmd("jaccard")), "--adapter-name", name)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"usage error: --adapter-name {name!r}: a name may not hold "
+            "',', '\"', '|' or a non-printable character\n"
+        )
+
     def test_bad_targets_rejected(self, capsys):
         code = run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
                    "--acc-targets", "0,60")
@@ -184,6 +209,16 @@ class TestEvaluate:
             f"io error: [Errno 2] No such file or directory: '{out}'\n"
         )
         assert list(tmp_path.rglob("*")) == [kept]
+
+    def test_directory_target_fails_before_any_rename(self, tmp_path, capsys, monkeypatch):
+        # the curves would be renamed first, and the report last
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "results").mkdir()
+        code = run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
+                   "--out", "results", "--curves-out", "curves")
+        assert code == 2
+        assert capsys.readouterr().err == "io error: [Errno 21] Is a directory: 'results'\n"
+        assert list(tmp_path.rglob("*")) == [tmp_path / "results"]
 
     def test_output_name_of_255_bytes_is_written(self, tmp_path):
         out = tmp_path / ("x" * 255)
@@ -237,10 +272,29 @@ class TestEvaluate:
         ("gold", b'[{"question_id":"q1","answers":[{"answer":"\\ud83d\\ude00"}]},'
          b'{"question_id":"q2","answers":[{"answer":"a\\udc00"}]}]\n', "record 1",
          "invalid Unicode: lone surrogate '\\udc00'"),
+        # lines and records the per-field checks refuse
+        ("predictions", b"[1]\n", "line 1", "record is not a JSON object"),
+        ("predictions", _LINE_1.replace(b"}}", b'},"samples":{}}'), "line 1",
+         "samples is not an array"),
+        ("predictions", _LINE_1.replace(b'"a"', b"1"), "line 1", "greedy.text is not a string"),
+        ("predictions", _LINE_1.replace(b"[-1]", b'"x"'), "line 1",
+         "greedy.logprobs is not an array of numbers"),
+        ("predictions", _LINE_1.replace(b"}}", b'},"meta":{"m":1}}'), "line 1",
+         "meta must map strings to strings"),
+        ("predictions", _LINE_1.replace(b'"q1"', b"1"), "line 1", "question_id is not a string"),
+        ("gold", b'[{"question_id":"q1","answers":[{"answer":"a"}],"answerable":1}]\n',
+         "record 0", "answerable is not a boolean"),
+        ("gold", b'[{"question_id":"q1","answers":[{"answer":"a","answerable":"yes"}]}]\n',
+         "record 0", "answers[0].answerable is not a boolean"),
+        ("gold", b'[{"question_id":"q1","answers":[{"answer":"a","answer_confidence":1}]}]\n',
+         "record 0", "answers[0].answer_confidence is not a string"),
     ], ids=["predictions-utf8", "gold-utf8", "gold-no-answers", "gold-json-multibyte",
             "predictions-deep-nesting", "gold-deep-nesting", "predictions-huge-logprob",
             "predictions-long-integer", "gold-long-integer", "predictions-lone-surrogate",
-            "gold-lone-surrogate"])
+            "gold-lone-surrogate", "predictions-not-an-object", "predictions-samples-object",
+            "predictions-int-text", "predictions-str-logprobs", "predictions-int-meta-value",
+            "predictions-int-question-id", "gold-int-answerable",
+            "gold-str-answer-answerable", "gold-int-answer-confidence"])
     def test_bad_input_is_a_data_error(self, tmp_path, capsys, side, data, where, reason):
         path = tmp_path / "bad"
         path.write_bytes(data)
@@ -285,6 +339,23 @@ def _scorable(qid: str) -> str:
     return ('{"question_id":"%s","greedy":{"text":"red apple","logprobs":[-0.1]},'
             '"samples":[{"text":"red apple","logprobs":[-0.5]},'
             '{"text":"red car","logprobs":[-1.5]}]}' % qid)
+
+
+@pytest.mark.parametrize("command,line,gold_id,reason", [
+    ("evaluate", _scorable("q1"), "q2",
+     "no overlapping question ids between predictions and gold"),
+    # the greedy answer abstains
+    ("sweep", _scorable("q1").replace("red apple", "unanswerable", 1), "q1",
+     "nothing triggered; no operating points to sweep"),
+], ids=["no-overlap", "nothing-triggered"])
+def test_nothing_to_report_is_a_data_error(tmp_path, capsys, command, line, gold_id, reason):
+    pred, gold = tmp_path / "p.jsonl", tmp_path / "g.json"
+    pred.write_text(line + "\n")
+    gold.write_text(json.dumps([{"question_id": gold_id, "answers": [{"answer": "red apple"}]}]))
+    assert run(command, "--predictions", str(pred), "--gold", str(gold),
+               "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.endswith(f"data error: {reason}\n")
+    assert not (tmp_path / "out").exists()
 
 
 class TestStreamedErrorOrder:
