@@ -36,6 +36,16 @@ class TestEvaluate:
         assert code == 0
         assert out.read_bytes() == (DATA_DIR / "golden_report.md").read_bytes()
 
+    @pytest.mark.parametrize("flags,golden", [
+        (["--format", "csv"], "golden_report.csv"),
+        (["--classifier", "bleu-threshold", "--format", "json"], "golden_report_bleu.json"),
+    ])
+    def test_golden_report_variants(self, tmp_path, flags, golden):
+        out = tmp_path / "report"
+        assert run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD, *flags,
+                   "--out", str(out)) == 0
+        assert out.read_bytes() == (DATA_DIR / golden).read_bytes()
+
     def test_golden_report_matches_library_composition(self, tmp_path):
         # rebuild the exact report through the library API
         pairs, _ = join(load_predictions(GOLDEN_PRED), load_gold(GOLDEN_GOLD))
@@ -468,6 +478,12 @@ class TestSweep:
                    "--out", str(out)) == 0
         assert out.read_bytes() == (DATA_DIR / "golden_sweep.csv").read_bytes()
 
+    def test_golden_sweep_json(self, tmp_path):
+        out = tmp_path / "sweep.json"
+        assert run("sweep", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
+                   "--format", "json", "--out", str(out)) == 0
+        assert out.read_bytes() == (DATA_DIR / "golden_sweep.json").read_bytes()
+
     def test_rows_per_method(self, tmp_path):
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
@@ -671,9 +687,11 @@ def test_accepted_dumps_score_or_fail_as_data_errors(records, methods):
         ))
         assert len(load_predictions(str(pred))) == len(records)
         # any other exception escapes main() and fails the test with its traceback
-        code = run("evaluate", "--predictions", str(pred), "--gold", str(gold),
-                   "--methods", methods, "--out", str(Path(tmp) / "report.md"))
-        assert code in (0, 2)
+        for argv in (["evaluate", "--gold", str(gold)], ["score", "--gold", str(gold)],
+                     ["score"], ["sweep", "--gold", str(gold)]):
+            code = run(*argv, "--predictions", str(pred), "--methods", methods,
+                       "--out", str(Path(tmp) / "out"))
+            assert code in (0, 2), argv
 
 
 class TestSynth:

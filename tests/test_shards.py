@@ -117,10 +117,15 @@ class TestEqualBytes:
     @pytest.mark.parametrize("argv,golden", [
         (["evaluate", "--gold", GOLDEN_GOLD], "golden_report.md"),
         (["evaluate", "--gold", GOLDEN_GOLD, "--format", "json"], "golden_report.json"),
+        (["evaluate", "--gold", GOLDEN_GOLD, "--format", "csv"], "golden_report.csv"),
+        (["evaluate", "--gold", GOLDEN_GOLD, "--classifier", "bleu-threshold",
+          "--format", "json"], "golden_report_bleu.json"),
         (["score"], "golden_score.jsonl"),
         (["score", "--gold", GOLDEN_GOLD], "golden_score_gold.jsonl"),
         (["sweep", "--gold", GOLDEN_GOLD], "golden_sweep.csv"),
-    ], ids=["report-md", "report-json", "score", "score-gold", "sweep"])
+        (["sweep", "--gold", GOLDEN_GOLD, "--format", "json"], "golden_sweep.json"),
+    ], ids=["report-md", "report-json", "report-csv", "report-bleu-threshold", "score",
+            "score-gold", "sweep", "sweep-json"])
     def test_golden_fixtures(self, sharded, tmp_path, n, argv, golden):
         out = tmp_path / "out"
         code, stdout, err, written = sharded(n, *argv, "--predictions", GOLDEN_PRED,
