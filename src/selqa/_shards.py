@@ -2,37 +2,36 @@
 
 cli._score decides when a run is sharded, cuts the dump at line starts and
 hands over its scoring step; this module runs the step on the shards after
-the first, which the parent scores itself. Only the sharded path imports it,
-and it is the only module that knows how the step's items travel.
+the first, which the parent scores itself. Only the sharded path imports it.
 
-A worker runs the step over its byte range and keeps each item as a tuple
-of marshal-able fields, encoded in frames of _BATCH items (marshal is built
-in and already loaded, where importing pickle alone would add about 0.4 MiB
-to the parent's peak). After its last line it writes the frames to its
-pipe, each behind an 8-byte length, then a zero length as its end marker.
-It stops at its first error, which its last item carries, and it leaves
-through os._exit, so it never flushes inherited stdio or runs atexit
-handlers.
+A worker runs the step over its byte range and encodes its items in frames
+of _BATCH items through selqa._columns: each frame holds the items' ids,
+lines, flag bytes and each method's scores as array bytes, in one marshal
+dump (marshal is built in and already loaded, where importing pickle alone
+would add about 0.4 MiB to the parent's peak). After its last line it
+writes the frames to its pipe, each behind an 8-byte length, then a zero
+length as its end marker. It stops at its first error, which its last
+frame carries, and it leaves through os._exit, so it never flushes
+inherited stdio or runs atexit handlers.
 
-The parent reads one frame at a time, worker by worker, and decodes each
-item back to the step's own item, so the join and the loop take it as they
-take the parent's own: duplicate ids, the join summary and the first error
-are decided in file order, as in a serial run. A worker that exits before
-its end marker, or with a non-zero status, is an error naming its lines.
+The parent reads one frame at a time, worker by worker, and decodes it back
+to the step's own items, so the join and the loop take them as they take
+the parent's own: duplicate ids, the join summary and the first error are
+decided in file order, as in a serial run. A worker that exits before its
+end marker, or with a non-zero status, is an error naming its lines.
 """
 
 from __future__ import annotations
 
-import marshal
 import os
 import signal
 from contextlib import suppress
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import io as selqa_io
-from .cli import _Scored
-from .errors import AdapterError, DataError
-from .records import PredictionRecord, ScoredPrediction
+from ._columns import Scored, decode_frame, encode_frame
+from .errors import DataError
+from .records import PredictionRecord
 
 #: Items a worker encodes into one frame.
 _BATCH = 64
@@ -40,11 +39,9 @@ _BATCH = 64
 _HEADER = 8
 #: Bytes read at a time when counting newlines.
 _CHUNK = 1 << 20
-#: The errors a worker sends, by index: the classes main() maps to exit codes.
-_KINDS = (DataError, AdapterError, OSError)
 
 #: The parent's scoring step: records to their items, in order.
-Step = Callable[[Iterable[PredictionRecord]], Iterator[_Scored]]
+Step = Callable[[Iterable[PredictionRecord]], Iterator[Scored]]
 
 
 class Worker:
@@ -61,7 +58,7 @@ class Worker:
         self.pid: int | None = pid
         self.pipe = open(fd, "rb")
 
-    def __iter__(self) -> Iterator[_Scored]:
+    def __iter__(self) -> Iterator[Scored]:
         while True:
             header = self.pipe.read(_HEADER)
             size = int.from_bytes(header, "little")
@@ -70,13 +67,7 @@ class Worker:
                 raise self._reaped(ended=False)
             if not size:
                 break
-            for question_id, line, fields, error in marshal.loads(frame):
-                if error is not None:
-                    error = _KINDS[error[0]](error[1])
-                    if question_id is None:  # a line that did not parse
-                        raise error
-                row = None if fields is None else ScoredPrediction(question_id, *fields)
-                yield _Scored(question_id, line, row, error)
+            yield from decode_frame(frame)
         failure = self._reaped(ended=True)
         if failure is not None:
             raise failure
@@ -162,36 +153,25 @@ def _work(
 
 
 def _frames(path: str, start: int, end: int, step: Step) -> list[bytes]:
-    """The shard's items, encoded in frames; only the last item of the last may hold an error."""
+    """The shard's items, encoded in frames; only the last frame may hold an error."""
     frames: list[bytes] = []
-    items: list[tuple] = []
+    items: list[Scored] = []
+    error = None
     records = selqa_io.iter_predictions(path, start, end, line_at(path, start))
     try:
         for item in step(records):
-            row, error = item.row, item.error
-            items.append((
-                item.question_id,
-                item.line,
-                None if row is None else
-                (row.triggered, row.scores, row.correct, row.answerable),
-                None if error is None else (_kind(error), str(error)),
-            ))
-            if error is not None:
+            items.append(item)
+            if item.error is not None:
                 break
             if len(items) == _BATCH:
-                frames.append(marshal.dumps(items))
+                frames.append(encode_frame(items))
                 items = []
     except (DataError, OSError) as exc:  # a line that does not parse, or a failed read
-        items.append((None, None, None, (_kind(exc), str(exc))))
+        error = exc
     finally:
         records.close()
-    frames.append(marshal.dumps(items))
+    frames.append(encode_frame(items, error))
     return frames
-
-
-def _kind(exc: Exception) -> int:
-    """The index in _KINDS of the class the parent raises in place of exc."""
-    return next(i for i, kind in enumerate(_KINDS) if isinstance(exc, kind))
 
 
 def line_at(path: str, offset: int) -> int:

@@ -7,8 +7,11 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 adapter error.
 evaluate, score and sweep share one scoring loop (_score) that streams the
 dump: the adapter is launched, the gold file, if any, is read into a
 compact index, and then each dump line is parsed and checked, goes through
-one scoring step and is joined in turn, so the process holds the scored
-rows and one record, never the whole dump. score without --gold joins
+one scoring step and is joined in turn. The process holds the gold index,
+one record and the scored records as columns (selqa._columns: ids, flag
+bytes and a float array per method), never the whole dump and no object
+per record; the report, curves and sweep read one ranking per method of
+those columns (metrics.rank_methods). score without --gold joins
 nothing, so ids may repeat. A record the loader accepts but a scoring
 method cannot score (no greedy logprobs, no samples, sample probabilities
 summing above 1) is a data error naming the file, the line and the
@@ -47,17 +50,17 @@ import stat
 import sys
 import tempfile
 import threading
-from dataclasses import asdict
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import io as selqa_io
 from . import metrics, scoring
+from ._columns import Columns, Scored
 from .correctness import CorrectnessClassifier
-from .errors import AdapterError, DataError, SelqaError, UsageError
+from .errors import AdapterError, DataError, UsageError
 from .similarity import BleuSimilarity, SimilarityFn
-from .records import PredictionRecord, ScoredPrediction
+from .records import PredictionRecord, check_scored
 
 _EXIT_USAGE = 1
 _EXIT_DATA = 2
@@ -165,6 +168,13 @@ def _parse_targets(raw: str) -> list[float]:
         raise UsageError(f"bad --acc-targets: {raw!r}") from exc
     if not targets or any(not 0.0 < t <= 100.0 for t in targets):
         raise UsageError("--acc-targets values must lie in (0, 100]")
+    # A repeat collapses into one column; distinct targets need distinct labels.
+    labels: dict[str, float] = {}
+    for t in targets:
+        label = selqa_io.target_label(t)
+        if labels.setdefault(label, t) != t:
+            raise UsageError(f"--acc-targets {labels[label]!r} and {t!r} share the label "
+                             f"{label!r}")
     return targets
 
 
@@ -272,31 +282,18 @@ def _naming(exc: OSError, path: str) -> OSError:
     return OSError(exc.errno, exc.strerror, path)
 
 
-class _Scored(NamedTuple):
-    """One dump record after the scoring step, as the join and the loop take it.
-
-    row is None for a record the gold index lacks, which is not scored;
-    error is the located error scoring the record raised, which the loop
-    raises once the join has passed the record.
-    """
-
-    question_id: str
-    line: int
-    row: ScoredPrediction | None
-    error: SelqaError | None
-
-
 def _score(
     args: argparse.Namespace, methods: Sequence[str]
-) -> tuple[list[ScoredPrediction], CorrectnessClassifier | None, str]:
+) -> tuple[Columns, CorrectnessClassifier | None, str]:
     """Score each dump record as the dump is read, joined to the gold index if any.
 
-    Returns the scored rows, the classifier (None without --gold, when rows
-    carry no verdicts and ids may repeat) and the similarity's name. Every
-    record goes through one scoring step. When _shard_cuts cuts the dump,
-    forked workers (selqa._shards) run that step on every shard but the
-    first, and their items join the loop in file order after this
-    process's own shard.
+    Returns the scored records as a column table, the classifier (None
+    without --gold, when no record is correct and ids may repeat) and the
+    similarity's name. Every record goes through one scoring step, which
+    runs ScoredPrediction's checks without building one. When _shard_cuts
+    cuts the dump, forked workers (selqa._shards) run that step on every
+    shard but the first, and their items join the loop in file order after
+    this process's own shard.
     """
     _check_classifier_flags(args)
     with _build_similarity(args) as fn:
@@ -304,19 +301,25 @@ def _score(
         classifiers = (classifier,) if classifier else ()
         gold = selqa_io.load_gold_index(args.gold) if args.gold else None
 
-        def step(records: Iterable[PredictionRecord]) -> Iterator[_Scored]:
+        def step(records: Iterable[PredictionRecord]) -> Iterator[Scored]:
             for record in records:
                 # without gold: no answers to check, and an answerable flag no output reads
                 entry = gold.get(record.question_id) if gold is not None else ((), False)
-                row = error = None
+                result = error = None
                 if entry is not None:
+                    golds, answerable = entry
                     try:
-                        row = scoring.score_joined(record, *entry, methods, fn, classifiers)
+                        triggered, scores, correct = scoring.score_verdicts(
+                            record, golds, methods, fn, classifiers)
+                        check_scored(triggered, scores, correct)
+                        # the one classifier's verdict; False when abstained or without gold
+                        result = (triggered, any(correct.values()), answerable,
+                                  [scores[method] for method in methods])
                     except ValueError as exc:
                         error = DataError(_located(args.predictions, record, exc))
                     except AdapterError as exc:
                         error = AdapterError(_located(args.predictions, record, exc))
-                yield _Scored(record.question_id, record.line, row, error)
+                yield Scored(record.question_id, record.line, result, error)
 
         cuts = _shard_cuts(args)
         workers = []
@@ -331,20 +334,20 @@ def _score(
             if gold is not None:
                 items = (item for item, _ in
                          selqa_io.join_stream(items, gold, summary, args.predictions))
-            scored = []
+            table = Columns(methods)
             for item in items:
                 if item.error is not None:
                     raise item.error
-                scored.append(item.row)
+                table.append(item.question_id, item.result)
         finally:
             head.close()
             for worker in workers:
                 worker.stop()
     if not summary.clean:
         print(f"join: {summary.describe()}", file=sys.stderr)
-    if gold is not None and not scored:
+    if gold is not None and not table:
         raise DataError("no overlapping question ids between predictions and gold")
-    return scored, classifier, fn.name
+    return table, classifier, fn.name
 
 
 def _shard_cuts(args: argparse.Namespace) -> list[int] | None:
@@ -384,15 +387,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     targets = _parse_targets(args.acc_targets)
     if args.bins < 1:
         raise UsageError("--bins must be >= 1")
-    scored, classifier, sim_name = _score(args, methods)
+    table, classifier, sim_name = _score(args, methods)
     meta = {"classifier": classifier.name, "bins": str(args.bins), "similarity": sim_name}
     if classifier.name != "em":
         meta["threshold"] = repr(classifier.threshold)
     # One ranking per method serves both the report and its curves.
-    rankings = metrics.rank_methods(scored, methods, classifier.name)
-    report = metrics.report_from_rankings(
-        scored, rankings, targets, classifier.name, args.bins, meta
-    )
+    rankings = metrics.rank_methods(table)
+    report = metrics.report_from_rankings(table, rankings, targets, args.bins, meta)
     outputs: list[tuple[bytes, str | None]] = [
         (selqa_io.emit_report(report, args.format), args.out)
     ]
@@ -414,25 +415,27 @@ def _safe_name(method: str) -> str:
 
 def cmd_score(args: argparse.Namespace) -> int:
     methods = _parse_methods(args)
-    scored, _, _ = _score(args, methods)
-    rows = [
-        asdict(s) if args.gold else
-        {"question_id": s.question_id, "triggered": s.triggered, "scores": s.scores}
-        for s in scored
-    ]
-    lines = [json.dumps(row, ensure_ascii=False, separators=(",", ":")) for row in rows]
+    table, classifier, _ = _score(args, methods)
+    lines = []
+    for question_id, triggered, correct, answerable, scores in table.records():
+        # the keys of a ScoredPrediction, in its field order
+        row = {"question_id": question_id, "triggered": triggered, "scores": scores}
+        if classifier is not None:
+            row["correct"] = {classifier.name: correct} if triggered else {}
+            row["answerable"] = answerable
+        lines.append(json.dumps(row, ensure_ascii=False, separators=(",", ":")))
     _write_outputs([(("\n".join(lines) + "\n").encode("utf-8") if lines else b"", args.out)])
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     methods = _parse_methods(args)
-    scored, classifier, _ = _score(args, methods)
-    if not any(s.triggered for s in scored):
+    table, _, _ = _score(args, methods)
+    if not table.n_triggered:
         raise DataError("nothing triggered; no operating points to sweep")
     sweeps = {
-        method: metrics.threshold_sweep(metrics.method_points(scored, method, classifier.name))
-        for method in methods
+        method: metrics.ranked_sweep(ranking)
+        for method, ranking in metrics.rank_methods(table).items()
     }
     _write_outputs([(selqa_io.emit_sweep(sweeps, args.format), args.out)])
     return 0

@@ -601,7 +601,8 @@ def _fmt(value: float | None, undefined: str) -> str:
     return undefined if value is None else f"{value:.4f}"
 
 
-def _target_key(target: float) -> str:
+def target_label(target: float) -> str:
+    """An accuracy target as the report's key and column names print it."""
     return format(target, "g")
 
 
@@ -626,7 +627,7 @@ def _report_json(report: CalibrationReport) -> bytes:
             name: {
                 "auc": row.auc,
                 "ece": row.ece,
-                "coverage_at": {_target_key(t): v for t, v in row.coverage_at.items()},
+                "coverage_at": {target_label(t): v for t, v in row.coverage_at.items()},
             }
             for name, row in report.methods.items()
         },
@@ -668,7 +669,7 @@ def _targets(report: CalibrationReport) -> list[float]:
 
 def _report_csv(report: CalibrationReport) -> bytes:
     targets = _targets(report)
-    header = ["method", "auc", "ece"] + [f"c@{_target_key(t)}" for t in targets]
+    header = ["method", "auc", "ece"] + [f"c@{target_label(t)}" for t in targets]
     lines = [",".join(header)]
     for name, row in report.methods.items():
         cells = [name, _fmt(row.auc, ""), _fmt(row.ece, "")]
@@ -684,7 +685,7 @@ def _report_markdown(report: CalibrationReport) -> bytes:
         f"({report.n_triggered}/{report.n_total} answered)"
     )
     targets = _targets(report)
-    columns = ["method", "AUC", "ECE"] + [f"C@{_target_key(t)}" for t in targets]
+    columns = ["method", "AUC", "ECE"] + [f"C@{target_label(t)}" for t in targets]
     lines = [head, ""]
     lines.append("| " + " | ".join(columns) + " |")
     lines.append("|" + "|".join([" --- "] * len(columns)) + "|")

@@ -1,22 +1,27 @@
 """Calibration metrics over the triggered subset.
 
-Every metric reads one ranking (_rank): the points sorted once by descending
-score, ties broken by ascending record id, and an integer count of correct
-points in each prefix. AUC and coverage use exact integer counts, ECE sums
-bin scores with fsum, so every metric is a pure, reproducible function of its
-input set. build_report ranks each method once (rank_methods), and the
-risk-coverage curves of the same report can read those rankings. Degenerate
-cases (no positives, no negatives, nothing triggered) yield None, never 0 or
-NaN.
+Every metric reads one ranking (rank_methods): a method's scores of the
+triggered records of a column table (selqa._columns), sorted once by
+descending score, ties broken by ascending record id, and an integer count
+of correct records in each prefix. AUC and coverage use exact integer
+counts, ECE sums bin scores with fsum, so every metric is a pure,
+reproducible function of its input set. The CLI ranks its run's table once
+per method, and the report, the risk-coverage curves and the threshold
+sweep read those rankings. build_report and the per-point metrics put their
+rows or points in a table first and rank it the same way, so there is one
+ranking path. Degenerate cases (no positives, no negatives, nothing
+triggered) yield None, never 0 or NaN.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, compress
 from typing import Iterable, Sequence
 
+from ._columns import Columns
 from .records import CalibrationReport, MethodMetrics, ScoredPrediction
 
 
@@ -42,18 +47,36 @@ class RiskCoveragePoint:
 
 
 #: A ranking: the scores in ranked order and the prefix counts of correct points.
-Ranking = tuple[list[float], list[int]]
+Ranking = tuple[Sequence[float], Sequence[int]]
+
+
+def rank_methods(table: Columns) -> dict[str, Ranking]:
+    """Each method's one ranking of the table's triggered records.
+
+    A ranking is the scores in descending order, ties by ascending record
+    id, and hits, where hits[m] is the number of correct records among the
+    top m (so hits[0] == 0). Records with equal scores and ids keep their
+    table order. The report, the curves and the sweep read these.
+    """
+    ids, correct = table.ids, table.correct
+    # Sorted by id, then stably by score: the order of the key (-score, id).
+    by_id = sorted(compress(range(len(table)), table.triggered), key=ids.__getitem__)
+    rankings = {}
+    for method, column in table.scores.items():
+        order = sorted(by_id, key=column.__getitem__, reverse=True)
+        rankings[method] = (
+            array("d", map(column.__getitem__, order)),
+            array("q", accumulate(map(correct.__getitem__, order), initial=0)),
+        )
+    return rankings
 
 
 def _rank(points: Iterable[EvalPoint]) -> Ranking:
-    """The one ranking every metric reads: descending score, ties by record id.
-
-    Returns the scores in that order and hits, where hits[m] is the number of
-    correct points among the top m (so hits[0] == 0).
-    """
-    ordered = sorted(points, key=lambda p: (-p.score, p.record_id))
-    hits = list(accumulate((p.correct for p in ordered), initial=0))
-    return [p.score for p in ordered], hits
+    """The ranking of points, as rank_methods ranks a method's column."""
+    table = Columns(("score",))
+    for p in points:
+        table.append(p.record_id, (True, p.correct, True, (p.score,)))
+    return rank_methods(table)["score"]
 
 
 def _run_ends(scores: Sequence[float]) -> list[int]:
@@ -74,7 +97,7 @@ def ece(points: Sequence[EvalPoint], n_bins: int = 10) -> float:
     return _ece(*_rank(points), n_bins)
 
 
-def _ece(scores: list[float], hits: list[int], n_bins: int) -> float:
+def _ece(scores: Sequence[float], hits: Sequence[int], n_bins: int) -> float:
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins}")
     base, extra = divmod(len(scores), n_bins)
@@ -99,7 +122,7 @@ def roc_auc(points: Sequence[EvalPoint]) -> float | None:
     return _auc(*_rank(points))
 
 
-def _auc(scores: list[float], hits: list[int]) -> float | None:
+def _auc(scores: Sequence[float], hits: Sequence[int]) -> float | None:
     n_pos = hits[-1]
     n_neg = len(scores) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -126,7 +149,7 @@ def coverage_at_accuracy(points: Sequence[EvalPoint], acc_target: float) -> floa
     return _coverage(_rank(points)[1], acc_target)
 
 
-def _coverage(hits: list[int], acc_target: float) -> float:
+def _coverage(hits: Sequence[int], acc_target: float) -> float:
     if not 0.0 < acc_target <= 100.0:
         raise ValueError(f"acc_target must lie in (0, 100], got {acc_target}")
     n = len(hits) - 1
@@ -167,7 +190,12 @@ def threshold_sweep(points: Sequence[EvalPoint]) -> list[SweepRow]:
     """
     if not points:
         raise ValueError("threshold_sweep needs at least one point")
-    scores, hits = _rank(points)
+    return ranked_sweep(_rank(points))
+
+
+def ranked_sweep(ranking: Ranking) -> list[SweepRow]:
+    """threshold_sweep read off a ranking of at least one point."""
+    scores, hits = ranking
     n = len(scores)
     rows = []
     for m in _run_ends(scores):
@@ -191,44 +219,15 @@ def accuracy_at_trigger(
     """
     if not scored:
         raise ValueError("accuracy_at_trigger needs at least one record")
-    triggered = [s for s in scored if s.triggered]
-    trigger_rate = 100.0 * len(triggered) / len(scored)
-    if not triggered:
+    return _accuracy(Columns.from_rows(scored, (), classifier))
+
+
+def _accuracy(table: Columns) -> tuple[float | None, float]:
+    n_triggered = table.n_triggered
+    trigger_rate = 100.0 * n_triggered / len(table)
+    if not n_triggered:
         return None, trigger_rate
-    n_correct = sum(_verdict(s, classifier) for s in triggered)
-    return 100.0 * n_correct / len(triggered), trigger_rate
-
-
-def _verdict(scored: ScoredPrediction, classifier: str) -> bool:
-    try:
-        return scored.correct[classifier]
-    except KeyError:
-        raise ValueError(
-            f"record {scored.question_id!r} has no verdict for classifier "
-            f"{classifier!r} (has: {list(scored.correct)})"
-        ) from None
-
-
-def method_points(
-    scored: Iterable[ScoredPrediction], method: str, classifier: str = "em"
-) -> list[EvalPoint]:
-    """One method's (score, verdict) point for every triggered record."""
-    return [
-        EvalPoint(score=s.scores[method], correct=_verdict(s, classifier), record_id=s.question_id)
-        for s in scored
-        if s.triggered
-    ]
-
-
-def rank_methods(
-    scored: Sequence[ScoredPrediction], methods: Sequence[str], classifier: str = "em"
-) -> dict[str, Ranking]:
-    """Each method's one ranking of the triggered records.
-
-    build_report reads these, and so can the curves of the same report.
-    """
-    triggered = [s for s in scored if s.triggered]
-    return {method: _rank(method_points(triggered, method, classifier)) for method in methods}
+    return 100.0 * table.n_correct / n_triggered, trigger_rate
 
 
 def build_report(
@@ -243,22 +242,21 @@ def build_report(
 
     With zero triggered records every metric cell is None.
     """
-    rankings = rank_methods(scored, methods, classifier)
-    return report_from_rankings(scored, rankings, acc_targets, classifier, n_bins, meta)
+    table = Columns.from_rows(scored, methods, classifier)
+    return report_from_rankings(table, rank_methods(table), acc_targets, n_bins, meta)
 
 
 def report_from_rankings(
-    scored: Sequence[ScoredPrediction],
+    table: Columns,
     rankings: dict[str, Ranking],
     acc_targets: Sequence[float],
-    classifier: str,
     n_bins: int,
     meta: dict[str, str] | None,
 ) -> CalibrationReport:
-    """build_report from the rankings rank_methods returned for the same records."""
-    if not scored:
+    """build_report from a table and the rankings rank_methods returned for it."""
+    if not table:
         raise ValueError("build_report needs at least one record")
-    accuracy, trigger_rate = accuracy_at_trigger(scored, classifier)
+    accuracy, trigger_rate = _accuracy(table)
     rows: dict[str, MethodMetrics] = {}
     for method, (scores, hits) in rankings.items():
         if scores:
@@ -275,7 +273,7 @@ def report_from_rankings(
         methods=rows,
         accuracy=accuracy,
         trigger_rate=trigger_rate,
-        n_total=len(scored),
-        n_triggered=sum(s.triggered for s in scored),
+        n_total=len(table),
+        n_triggered=table.n_triggered,
         meta=dict(meta or {}),
     )

@@ -89,11 +89,19 @@ class ScoredPrediction:
     answerable: bool
 
     def __post_init__(self) -> None:
-        for name, value in self.scores.items():
-            if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-                raise ValueError(f"score {name!r} out of [0, 1]: {value}")
-        if not self.triggered and self.correct:
-            raise ValueError("abstained records carry no correctness verdicts")
+        check_scored(self.triggered, self.scores, self.correct)
+
+
+def check_scored(triggered: bool, scores: Mapping[str, float], correct: Mapping[str, bool]) -> None:
+    """ScoredPrediction's checks, which the CLI runs on the records it keeps as columns.
+
+    Every score is finite and in [0, 1], and an abstained record has no verdicts.
+    """
+    for name, value in scores.items():
+        if not (math.isfinite(value) and 0.0 <= value <= 1.0):
+            raise ValueError(f"score {name!r} out of [0, 1]: {value}")
+    if not triggered and correct:
+        raise ValueError("abstained records carry no correctness verdicts")
 
 
 @dataclass(frozen=True)

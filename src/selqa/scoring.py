@@ -195,6 +195,22 @@ def score_joined(
     classifiers: Sequence[CorrectnessClassifier],
 ) -> ScoredPrediction:
     """score_all against gold already reduced to its distinct normalized answers."""
+    triggered, scores, correct = score_verdicts(record, golds, methods, fn, classifiers)
+    return ScoredPrediction(record.question_id, triggered, scores, correct, answerable)
+
+
+def score_verdicts(
+    record: PredictionRecord,
+    golds: tuple[str, ...],
+    methods: Iterable[str],
+    fn: SimilarityFn | None,
+    classifiers: Sequence[CorrectnessClassifier],
+) -> tuple[bool, dict[str, float], dict[str, bool]]:
+    """A record's trigger decision, scores and verdicts, without a ScoredPrediction.
+
+    Abstained records get scores but no verdicts. The caller checks them
+    (records.check_scored), as a ScoredPrediction would.
+    """
     triggered = trigger_decision(record.greedy)
     scores = score_record(record, methods, fn)
     correct: dict[str, bool] = {}
@@ -202,10 +218,4 @@ def score_joined(
         prediction = normalize_answer(record.greedy.text)
         for clf in classifiers:
             correct[clf.name] = clf._verdict(prediction, golds)
-    return ScoredPrediction(
-        question_id=record.question_id,
-        triggered=triggered,
-        scores=scores,
-        correct=correct,
-        answerable=answerable,
-    )
+    return triggered, scores, correct

@@ -1,13 +1,16 @@
+import gc
 import json
 import os
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import selqa.cli as cli
 from selqa import EvalPoint, build_report, score_all
 from selqa.cli import main
 from selqa.io import emit_report, join, load_gold, load_predictions
@@ -154,12 +157,25 @@ class TestEvaluate:
     @pytest.mark.parametrize("flags,reason", [
         (["--bins", "0"], "--bins must be >= 1"),
         (["--acc-targets", "x"], "bad --acc-targets: 'x'"),
+        # both print as c@60: one report key and two columns of that name
+        (["--acc-targets", "60,60.00000001"],
+         "--acc-targets 60.0 and 60.00000001 share the label '60'"),
     ])
     def test_report_flags_rejected_before_io(self, tmp_path, capsys, flags, reason):
         code = run("evaluate", "--predictions", str(tmp_path / "ghost.jsonl"),
                    "--gold", str(tmp_path / "ghost.json"), *flags)
         assert code == 1
         assert capsys.readouterr().err == f"usage error: {reason}\n"
+
+    @pytest.mark.parametrize("format", ["markdown", "json", "csv"])
+    def test_a_repeated_target_is_one_column(self, tmp_path, format):
+        reports = []
+        for targets in ("60,60", "60"):
+            out = tmp_path / f"report-{targets}"
+            assert run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
+                       "--acc-targets", targets, "--format", format, "--out", str(out)) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("subcommand", ["evaluate", "score", "sweep"])
     @pytest.mark.parametrize("name", ["a,b", "p|q", 'say "x"', "tab\tstop", "new\nline"],
@@ -692,6 +708,31 @@ def test_accepted_dumps_score_or_fail_as_data_errors(records, methods):
             code = run(*argv, "--predictions", str(pred), "--methods", methods,
                        "--out", str(Path(tmp) / "out"))
             assert code in (0, 2), argv
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_scored_records_are_held_in_under_200_bytes_each(tmp_path, monkeypatch, cpus):
+    # one ScoredPrediction with its scores and verdicts dicts retains about 500 bytes
+    n = 2000
+    assert run("synth", "--out", str(tmp_path), "--n", str(n), "--seed", "1") == 0
+    monkeypatch.setattr(cli, "_SHARD_MIN_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    args = cli.build_parser().parse_args([
+        "score", "--predictions", str(tmp_path / "predictions.jsonl"),
+        "--gold", str(tmp_path / "gold.json"),
+    ])
+    methods = cli._parse_methods(args)
+    cli._score(args, methods)  # imports and caches filled on first use are not the records'
+    gc.collect()
+    tracemalloc.start()
+    try:
+        scored = cli._score(args, methods)
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scored[0]) == n
+    assert retained / n < 200, retained / n
 
 
 class TestSynth:

@@ -5,13 +5,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from selqa import EvalPoint, ScoredPrediction, build_report
+from selqa._columns import Columns
 from selqa.metrics import (
     accuracy_at_trigger,
     coverage_at_accuracy,
     ece,
-    method_points,
     rank_methods,
     ranked_curve,
+    ranked_sweep,
     report_from_rankings,
     risk_coverage_curve,
     roc_auc,
@@ -325,12 +326,15 @@ class TestSharedRanking:
                    correct=rng.random() < 0.5)
             for i in range(30)
         ]
-        rankings = rank_methods(rows, ["likelihood"])
-        report = report_from_rankings(rows, rankings, [60.0], "em", 10, {"k": "v"})
+        table = Columns.from_rows(rows, ["likelihood"], "em")
+        rankings = rank_methods(table)
+        report = report_from_rankings(table, rankings, [60.0], 10, {"k": "v"})
         assert report == build_report(rows, ["likelihood"], [60.0], meta={"k": "v"})
-        points = method_points(rows, "likelihood")
+        points = [EvalPoint(r.scores["likelihood"], r.correct["em"], r.question_id)
+                  for r in rows if r.triggered]
         assert ranked_curve(rankings["likelihood"]) == risk_coverage_curve(points)
+        assert ranked_sweep(rankings["likelihood"]) == threshold_sweep(points)
 
     def test_nothing_triggered_gives_an_empty_curve(self):
-        rankings = rank_methods([scored("a", False)], ["likelihood"])
+        rankings = rank_methods(Columns.from_rows([scored("a", False)], ["likelihood"], "em"))
         assert ranked_curve(rankings["likelihood"]) == []
