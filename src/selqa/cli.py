@@ -60,7 +60,7 @@ from ._columns import Columns, Scored
 from .correctness import CorrectnessClassifier
 from .errors import AdapterError, DataError, UsageError
 from .similarity import BleuSimilarity, SimilarityFn
-from .records import PredictionRecord, check_scored
+from .records import PredictionRecord
 
 _EXIT_USAGE = 1
 _EXIT_DATA = 2
@@ -290,7 +290,7 @@ def _score(
     Returns the scored records as a column table, the classifier (None
     without --gold, when no record is correct and ids may repeat) and the
     similarity's name. Every record goes through one scoring step, which
-    runs ScoredPrediction's checks without building one. When _shard_cuts
+    makes ScoredPrediction's checks without building one. When _shard_cuts
     cuts the dump, forked workers (selqa._shards) run that step on every
     shard but the first, and their items join the loop in file order after
     this process's own shard.
@@ -311,7 +311,6 @@ def _score(
                     try:
                         triggered, scores, correct = scoring.score_verdicts(
                             record, golds, methods, fn, classifiers)
-                        check_scored(triggered, scores, correct)
                         # the one classifier's verdict; False when abstained or without gold
                         result = (triggered, any(correct.values()), answerable,
                                   [scores[method] for method in methods])

@@ -31,6 +31,7 @@ from .records import (
     PredictionRecord,
     SampledAnswer,
     ScoredPrediction,
+    check_scored,
 )
 from .similarity import BleuSimilarity, SimilarityFn, answer_similarities
 from .textnorm import distinct_normalized, normalize_answer
@@ -208,8 +209,8 @@ def score_verdicts(
 ) -> tuple[bool, dict[str, float], dict[str, bool]]:
     """A record's trigger decision, scores and verdicts, without a ScoredPrediction.
 
-    Abstained records get scores but no verdicts. The caller checks them
-    (records.check_scored), as a ScoredPrediction would.
+    Abstained records get scores but no verdicts. The result passes the
+    checks a ScoredPrediction makes (records.check_scored), with its messages.
     """
     triggered = trigger_decision(record.greedy)
     scores = score_record(record, methods, fn)
@@ -218,4 +219,5 @@ def score_verdicts(
         prediction = normalize_answer(record.greedy.text)
         for clf in classifiers:
             correct[clf.name] = clf._verdict(prediction, golds)
+    check_scored(triggered, scores, correct)
     return triggered, scores, correct

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selqa.cli as cli
-from selqa import EvalPoint, build_report, score_all
+from selqa import EvalPoint, build_report, score_all, scoring
 from selqa.cli import main
 from selqa.io import emit_report, join, load_gold, load_predictions
 
@@ -566,6 +566,24 @@ class TestUnscorableRecords:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {pred}: line 3: question_id {qid!r}: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,with_gold", [
+        ("evaluate", True), ("score", True), ("sweep", True), ("score", False),
+    ])
+    @pytest.mark.parametrize("score", [1.5, float("nan")])
+    def test_score_out_of_range_names_question(
+        self, tmp_path, capsys, monkeypatch, command, with_gold, score
+    ):
+        # no built-in method scores outside [0, 1]; a faulty one is still a located data error
+        monkeypatch.setattr(scoring, "likelihood_score", lambda answer: score)
+        argv = [command, "--predictions", GOLDEN_PRED, "--methods", "likelihood"]
+        if with_gold:
+            argv += ["--gold", GOLDEN_GOLD]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {GOLDEN_PRED}: line 1: question_id 'q000000': "
+            f"score 'likelihood' out of [0, 1]: {score}\n"
+        )
 
     @pytest.mark.parametrize("case", sorted(UNSCORABLE))
     def test_line_of_repeated_id_without_gold(self, tmp_path, capsys, case):
