@@ -6,13 +6,16 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 adapter error.
 
 evaluate, score and sweep share one scoring loop (_score) that streams the
 dump: the adapter is launched, the gold file, if any, is read into a
-compact index, and then each dump line is parsed and checked, goes through
-one scoring step and is joined in turn. The process holds the gold index,
-one record and the scored records as columns (selqa._columns: ids, flag
-bytes and a float array per method), never the whole dump and no object
-per record; the report, curves and sweep read one ranking per method of
-those columns (metrics.rank_methods). score without --gold joins
-nothing, so ids may repeat. A record the loader accepts but a scoring
+compact index (one str per question id: selqa.io.pack_gold), and then each
+dump line is parsed and checked, goes through one scoring step and is
+joined in turn; the join marks the entries it matches rather than keeping
+a set of every id. The process holds the gold index, one record and the
+scored records as columns (selqa._columns: ids, flag bytes and a float
+array per method), never the whole dump and no object per record or gold
+entry; the report, curves and sweep read one ranking per method of those
+columns (metrics.rank_methods), and each curve and the score JSONL are
+written line by line into one buffer. score without --gold joins nothing,
+so ids may repeat. A record the loader accepts but a scoring
 method cannot score (no greedy logprobs, no samples, sample probabilities
 summing above 1) is a data error naming the file, the line and the
 question id; an adapter failure while a record is scored, or a repeated
@@ -210,7 +213,7 @@ def _located(predictions_path: str, record: PredictionRecord, exc: Exception) ->
 
 
 def _write_outputs(
-    outputs: Sequence[tuple[bytes, str | None]], new_dir: str | None = None
+    outputs: Sequence[tuple[bytes | bytearray, str | None]], new_dir: str | None = None
 ) -> None:
     """Write every output, or none: each staged under its own name, then all renamed.
 
@@ -300,19 +303,21 @@ def _score(
         classifier = _build_classifier(args, fn) if args.gold else None
         classifiers = (classifier,) if classifier else ()
         gold = selqa_io.load_gold_index(args.gold) if args.gold else None
+        # without gold: no answers to check, and an answerable flag no output reads
+        no_gold = selqa_io.pack_gold((), False)
 
         def step(records: Iterable[PredictionRecord]) -> Iterator[Scored]:
             for record in records:
-                # without gold: no answers to check, and an answerable flag no output reads
-                entry = gold.get(record.question_id) if gold is not None else ((), False)
+                # an entry the join has marked is read as it was, so a repeated id is scored
+                entry = gold.get(record.question_id) if gold is not None else no_gold
                 result = error = None
                 if entry is not None:
-                    golds, answerable = entry
                     try:
                         triggered, scores, correct = scoring.score_verdicts(
-                            record, golds, methods, fn, classifiers)
+                            record, entry, methods, fn, classifiers)
                         # the one classifier's verdict; False when abstained or without gold
-                        result = (triggered, any(correct.values()), answerable,
+                        result = (triggered, any(correct.values()),
+                                  selqa_io.gold_answerable(entry),
                                   [scores[method] for method in methods])
                     except ValueError as exc:
                         error = DataError(_located(args.predictions, record, exc))
@@ -331,8 +336,7 @@ def _score(
         try:
             items = chain(step(head), *workers)
             if gold is not None:
-                items = (item for item, _ in
-                         selqa_io.join_stream(items, gold, summary, args.predictions))
+                items = selqa_io.join_stream(items, gold, summary, args.predictions)
             table = Columns(methods)
             for item in items:
                 if item.error is not None:
@@ -400,7 +404,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         curve_dir = Path(args.curves_out)
         for method, ranking in rankings.items():
             outputs.append((
-                selqa_io.emit_curve(metrics.ranked_curve(ranking)),
+                selqa_io.format_curve(metrics.curve_pairs(ranking)),
                 str(curve_dir / f"{_safe_name(method)}.csv"),
             ))
     # Everything computed before anything is written: no partial artifacts.
@@ -415,15 +419,16 @@ def _safe_name(method: str) -> str:
 def cmd_score(args: argparse.Namespace) -> int:
     methods = _parse_methods(args)
     table, classifier, _ = _score(args, methods)
-    lines = []
+    out = bytearray()  # each line is written into it, so the output is held once
     for question_id, triggered, correct, answerable, scores in table.records():
         # the keys of a ScoredPrediction, in its field order
         row = {"question_id": question_id, "triggered": triggered, "scores": scores}
         if classifier is not None:
             row["correct"] = {classifier.name: correct} if triggered else {}
             row["answerable"] = answerable
-        lines.append(json.dumps(row, ensure_ascii=False, separators=(",", ":")))
-    _write_outputs([(("\n".join(lines) + "\n").encode("utf-8") if lines else b"", args.out)])
+        out += json.dumps(row, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+        out += b"\n"
+    _write_outputs([(out, args.out)])
     return 0
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .io import gold_answers, gold_entry, gold_has
 from .records import GoldRecord
 from .similarity import BleuSimilarity, SimilarityFn, answer_similarities
-from .textnorm import distinct_normalized, normalize_answer
+from .textnorm import normalize_answer
 
 
 @dataclass(frozen=True)
@@ -59,12 +60,16 @@ class CorrectnessClassifier:
         whether the best similarity against any gold answer reaches the
         threshold, scoring each distinct normalized gold answer once.
         """
-        golds = distinct_normalized(a.answer for a in gold.annotations)
-        return self._verdict(normalize_answer(prediction), golds)
+        return self._verdict(normalize_answer(prediction), gold_entry(gold))
 
-    def _verdict(self, prediction: str, golds: tuple[str, ...]) -> bool:
-        """The rule over a normalized prediction and the distinct normalized golds."""
+    def _verdict(self, prediction: str, entry: str) -> bool:
+        """The rule over a normalized prediction and a gold index entry (selqa.io.pack_gold).
+
+        Exact match tests the entry's text; only the similarity rule reads
+        its answers out.
+        """
         if self.name == "em":
-            return prediction in golds
+            return gold_has(entry, prediction)
         assert self.similarity is not None
+        golds = gold_answers(entry)
         return max(answer_similarities([prediction], golds, self.similarity)[0]) >= self.threshold

@@ -23,9 +23,20 @@ either into GoldRecords (load_gold) or into the compact index scoring reads
 cannot read as an array is parsed again whole, once, only to name its first
 error as that parse words it.
 
+The index maps each question id to one str (pack_gold): a flag character
+for answerability, then the distinct normalized answers, each behind a
+"\n". Exact match is one substring test on it (gold_has), and only a
+similarity verdict splits it (gold_answers). join_stream marks an entry it
+matches by the case of its flag, in place of a set of every id it has seen,
+so a repeated id finds the mark; io.join runs the same loop over its
+GoldRecords' ids, each with an entry that holds no answers, as the join
+reads none.
+
 All emission is byte-deterministic. Human formats (csv, markdown) round
 floats to 4 decimals; the canonical json report keeps full precision so a
-report round-trips exactly through emit_report/parse_report.
+report round-trips exactly through emit_report/parse_report. A curve is
+written line by line into one buffer from its (coverage, accuracy) pairs
+(format_curve), which evaluate reads straight off a ranking.
 """
 
 from __future__ import annotations
@@ -34,7 +45,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from itertools import chain, count, repeat
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
+from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import DuplicateKeyError, ParseError
 from .metrics import RiskCoveragePoint, SweepRow
@@ -317,24 +328,19 @@ def load_gold(path: str) -> list[GoldRecord]:
     return records
 
 
-#: A gold record reduced to what scoring reads: its distinct normalized
-#: answers, in first-occurrence order, and whether it is answerable.
-GoldEntry = tuple[tuple[str, ...], bool]
-
-
-def load_gold_index(path: str) -> dict[str, GoldEntry]:
-    """Map each question_id of a gold file to its GoldEntry.
+def load_gold_index(path: str) -> dict[str, str]:
+    """Map each question_id of a gold file to its packed entry (pack_gold).
 
     Reads and checks the file as load_gold does, without building its
     records; a question_id seen twice is a DuplicateKeyError naming the
     file and the repeating record's index.
     """
-    index: dict[str, GoldEntry] = {}
+    index: dict[str, str] = {}
     for i, obj in _gold_objects(path):
         qid, answers, flags = _checked_gold(obj, path, i)
         if qid in index:
             raise DuplicateKeyError(f"{path}: record {i}: duplicate question_id {qid!r}")
-        index[qid] = (distinct_normalized([a["answer"] for a in answers]), any(flags))
+        index[qid] = pack_gold([a["answer"] for a in answers], any(flags))
     return index
 
 
@@ -349,6 +355,8 @@ def _checked_gold(obj: object, path: str, i: int) -> tuple[str, list[dict], list
         if not isinstance(obj, dict):
             raise ValueError("gold record is not a JSON object")
         qid = _expect_str(obj, "question_id")
+        if not qid:
+            raise ValueError("empty question_id")
         answers = obj.get("answers")
         if not isinstance(answers, list) or not answers:
             raise ValueError(f"gold record {qid!r} has no answers")
@@ -512,9 +520,49 @@ class _ChunkedText:
 
 
 # ---------------------------------------------------------------------------
+# gold index entries
+
+# An entry's first character is its flag: "A" answerable, "U" not. The join
+# marks an entry it has matched by turning the flag to lower case.
+
+
+def pack_gold(raws: Iterable[str], answerable: bool) -> str:
+    """The gold index entry of a record's raw answers and answerable flag.
+
+    One str: the flag character, then each distinct normalized answer, in
+    first-occurrence order, behind a "\n", then a closing "\n". No
+    normalized answer holds a "\n", as normalize_answer splits on all
+    whitespace, so an empty answer is an empty line and an exact match is
+    one substring test (gold_has).
+    """
+    flag = "A" if answerable else "U"
+    return flag + "".join("\n" + answer for answer in distinct_normalized(raws)) + "\n"
+
+
+def gold_entry(record: GoldRecord) -> str:
+    """The gold index entry of a GoldRecord."""
+    return pack_gold((a.answer for a in record.annotations), record.answerable)
+
+
+def gold_answers(entry: str) -> tuple[str, ...]:
+    """An entry's distinct normalized answers, in first-occurrence order."""
+    return tuple(entry[2:-1].split("\n")) if len(entry) > 2 else ()
+
+
+def gold_answerable(entry: str) -> bool:
+    """Whether an entry's question is answerable, matched by the join or not."""
+    return entry[0] in "Aa"
+
+
+def gold_has(entry: str, answer: str) -> bool:
+    """Whether a normalized answer is one of an entry's answers."""
+    return f"\n{answer}\n" in entry
+
+
+# ---------------------------------------------------------------------------
 # joining
 
-_G = TypeVar("_G")
+_P = TypeVar("_P")
 
 
 @dataclass
@@ -548,49 +596,66 @@ def join(
     predictions: Sequence[PredictionRecord], gold: Sequence[GoldRecord]
 ) -> tuple[list[tuple[PredictionRecord, GoldRecord]], JoinSummary]:
     """Inner join on question_id, in prediction order; duplicates are fatal."""
-    gold_index: dict[str, GoldRecord] = {}
+    records: dict[str, GoldRecord] = {}
     for g in gold:
-        if g.question_id in gold_index:
+        if g.question_id in records:
             raise DuplicateKeyError(f"duplicate question_id in gold: {g.question_id!r}")
-        gold_index[g.question_id] = g
+        records[g.question_id] = g
+    # The join reads only whether an entry is marked, so one unmarked entry serves every id.
+    index = dict.fromkeys(records, pack_gold((), False))
     summary = JoinSummary()
-    return list(join_stream(predictions, gold_index, summary)), summary
+    matched = join_stream(predictions, index, summary)
+    return [(p, records[p.question_id]) for p in matched], summary
 
 
 def join_stream(
-    predictions: Iterable[PredictionRecord],
-    gold_index: Mapping[str, _G],
+    predictions: Iterable[_P],
+    index: dict[str, str],
     summary: JoinSummary,
     path: str | None = None,
-) -> Iterator[tuple[PredictionRecord, _G]]:
-    """Yield each prediction with its gold entry as the predictions arrive.
+) -> Iterator[_P]:
+    """Yield each prediction the gold index holds, as the predictions arrive.
 
-    Fills summary as it goes; its unmatched gold ids are complete once the
-    predictions are exhausted. A repeated prediction id is fatal; given the
-    dump's path, the error names it, the repeated line and the id.
+    A prediction is anything with a question_id and a line. Each match
+    marks its entry in place (the flag character, so the entry keeps its
+    size and answers), and a repeated id finds the mark; only unmatched
+    prediction ids are kept in a set. An index is joined once. Fills
+    summary as it goes; its unmatched gold ids, the entries left unmarked
+    in index order, are complete once the predictions are exhausted. A
+    repeated prediction id is fatal; given the dump's path, the error names
+    it, the repeated line and the id.
     """
-    seen: set[str] = set()
+    unmatched: set[str] = set()
     for p in predictions:
-        if p.question_id in seen:
-            if path is None:
-                raise DuplicateKeyError(f"duplicate question_id in predictions: {p.question_id!r}")
-            raise DuplicateKeyError(
-                f"{path}: line {p.line}: question_id {p.question_id!r}: duplicate question_id"
-            )
-        seen.add(p.question_id)
-        g = gold_index.get(p.question_id)
-        if g is None:
+        qid = p.question_id
+        entry = index.get(qid)
+        if entry is None:
+            if qid in unmatched:
+                raise _duplicate(p, path)
+            unmatched.add(qid)
             summary.n_unmatched_predictions += 1
             if len(summary.unmatched_predictions) < JoinSummary.MAX_IDS:
-                summary.unmatched_predictions.append(p.question_id)
+                summary.unmatched_predictions.append(qid)
+        elif entry[0].islower():
+            raise _duplicate(p, path)
         else:
+            index[qid] = entry[0].lower() + entry[1:]
             summary.n_matched += 1
-            yield p, g
-    for qid in gold_index:
-        if qid not in seen:
+            yield p
+    for qid, entry in index.items():
+        if not entry[0].islower():
             summary.n_unmatched_gold += 1
             if len(summary.unmatched_gold) < JoinSummary.MAX_IDS:
                 summary.unmatched_gold.append(qid)
+
+
+def _duplicate(p: PredictionRecord, path: str | None) -> DuplicateKeyError:
+    """The error of a prediction whose id an earlier one had; given the path, located."""
+    if path is None:
+        return DuplicateKeyError(f"duplicate question_id in predictions: {p.question_id!r}")
+    return DuplicateKeyError(
+        f"{path}: line {p.line}: question_id {p.question_id!r}: duplicate question_id"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -700,11 +765,17 @@ def _report_markdown(report: CalibrationReport) -> bytes:
 # curve and sweep emission
 
 
-def emit_curve(points: Sequence[RiskCoveragePoint]) -> bytes:
+def emit_curve(points: Iterable[RiskCoveragePoint]) -> bytes:
     """Plot-ready risk-coverage data; csv columns coverage,accuracy."""
-    lines = ["coverage,accuracy"]
-    lines += [f"{p.coverage:.4f},{p.accuracy:.4f}" for p in points]
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return format_curve((p.coverage, p.accuracy) for p in points)
+
+
+def format_curve(pairs: Iterable[tuple[float, float]]) -> bytes:
+    """emit_curve over (coverage, accuracy) pairs, each line written into one buffer."""
+    out = bytearray(b"coverage,accuracy\n")
+    for coverage, accuracy in pairs:
+        out += b"%.4f,%.4f\n" % (coverage, accuracy)
+    return bytes(out)
 
 
 def emit_sweep(sweeps: dict[str, list[SweepRow]], format: str = "csv") -> bytes:

@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress
-from typing import Iterable, Sequence
+from itertools import accumulate, compress, starmap
+from typing import Iterable, Iterator, Sequence
 
 from ._columns import Columns
 from .records import CalibrationReport, MethodMetrics, ScoredPrediction
@@ -166,9 +166,15 @@ def risk_coverage_curve(points: Sequence[EvalPoint]) -> list[RiskCoveragePoint]:
 
 def ranked_curve(ranking: Ranking) -> list[RiskCoveragePoint]:
     """risk_coverage_curve read off a ranking; empty for an empty ranking."""
+    return list(starmap(RiskCoveragePoint, curve_pairs(ranking)))
+
+
+def curve_pairs(ranking: Ranking) -> Iterator[tuple[float, float]]:
+    """The (coverage, accuracy) percentages of a ranking's curve, one prefix at a time."""
     hits = ranking[1]
     n = len(hits) - 1
-    return [RiskCoveragePoint(100.0 * m / n, 100.0 * hits[m] / m) for m in range(1, n + 1)]
+    for m in range(1, n + 1):
+        yield 100.0 * m / n, 100.0 * hits[m] / m
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from typing import Iterable, Sequence
 
 from .correctness import CorrectnessClassifier
 from .errors import JoinError
+from .io import gold_entry
 from .records import (
     ABSTENTION_MARKER,
     GoldRecord,
@@ -34,7 +35,7 @@ from .records import (
     check_scored,
 )
 from .similarity import BleuSimilarity, SimilarityFn, answer_similarities
-from .textnorm import distinct_normalized, normalize_answer
+from .textnorm import normalize_answer
 
 #: Names accepted by score requests; the avg method's report key follows the
 #: similarity function in use ("avg-bleu" builtin, "avg-<name>" for adapters).
@@ -183,34 +184,22 @@ def score_all(
         )
     if classifiers is None:
         classifiers = (CorrectnessClassifier.exact_match(),)
-    golds = distinct_normalized(a.answer for a in gold.annotations)
-    return score_joined(record, golds, gold.answerable, methods, fn, classifiers)
-
-
-def score_joined(
-    record: PredictionRecord,
-    golds: tuple[str, ...],
-    answerable: bool,
-    methods: Iterable[str],
-    fn: SimilarityFn | None,
-    classifiers: Sequence[CorrectnessClassifier],
-) -> ScoredPrediction:
-    """score_all against gold already reduced to its distinct normalized answers."""
-    triggered, scores, correct = score_verdicts(record, golds, methods, fn, classifiers)
-    return ScoredPrediction(record.question_id, triggered, scores, correct, answerable)
+    triggered, scores, correct = score_verdicts(record, gold_entry(gold), methods, fn, classifiers)
+    return ScoredPrediction(record.question_id, triggered, scores, correct, gold.answerable)
 
 
 def score_verdicts(
     record: PredictionRecord,
-    golds: tuple[str, ...],
+    gold: str,
     methods: Iterable[str],
     fn: SimilarityFn | None,
     classifiers: Sequence[CorrectnessClassifier],
 ) -> tuple[bool, dict[str, float], dict[str, bool]]:
     """A record's trigger decision, scores and verdicts, without a ScoredPrediction.
 
-    Abstained records get scores but no verdicts. The result passes the
-    checks a ScoredPrediction makes (records.check_scored), with its messages.
+    gold is the record's gold index entry (selqa.io.pack_gold). Abstained
+    records get scores but no verdicts. The result passes the checks a
+    ScoredPrediction makes (records.check_scored), with its messages.
     """
     triggered = trigger_decision(record.greedy)
     scores = score_record(record, methods, fn)
@@ -218,6 +207,6 @@ def score_verdicts(
     if triggered:
         prediction = normalize_answer(record.greedy.text)
         for clf in classifiers:
-            correct[clf.name] = clf._verdict(prediction, golds)
+            correct[clf.name] = clf._verdict(prediction, gold)
     check_scored(triggered, scores, correct)
     return triggered, scores, correct

@@ -166,3 +166,30 @@ def random_points(rng: random.Random, max_n: int = 200, grid=None) -> list[EvalP
         EvalPoint(score=rng.choice(grid), correct=rng.random() < 0.5, record_id=f"r{i:04d}")
         for i in range(n)
     ]
+
+
+def seen_join(ids, gold_ids, path: str):
+    """A join that keeps a set of every prediction id seen, over ids on lines 1, 2, ...
+
+    Returns (matched ids, summary fields, None), or (matched ids before the
+    error, None, the duplicate error's message). The summary fields are
+    (n_matched, n_unmatched_predictions, n_unmatched_gold, first ten
+    unmatched prediction ids, first ten unmatched gold ids).
+    """
+    seen: set[str] = set()
+    matched, unmatched = [], []
+    gold = set(gold_ids)
+    for line, qid in enumerate(ids, start=1):
+        if qid in seen:
+            return matched, None, f"{path}: line {line}: question_id {qid!r}: duplicate question_id"
+        seen.add(qid)
+        (matched if qid in gold else unmatched).append(qid)
+    unmatched_gold = [qid for qid in gold_ids if qid not in seen]
+    fields = (len(matched), len(unmatched), len(unmatched_gold), unmatched[:10], unmatched_gold[:10])
+    return matched, fields, None
+
+
+def formatted_curve(curve) -> bytes:
+    """A curve's csv bytes, a line string per (coverage, accuracy) point."""
+    lines = ["coverage,accuracy"] + [f"{c:.4f},{a:.4f}" for c, a in curve]
+    return ("\n".join(lines) + "\n").encode("utf-8")

@@ -11,7 +11,8 @@ import selqa.adapter
 from selqa import AdapterError, CorrectnessClassifier, PredictionRecord, answer_similarity
 from selqa.adapter import ExternalSimilarity
 from selqa.cli import main
-from selqa.scoring import score_joined
+from selqa.io import pack_gold
+from selqa.scoring import score_verdicts
 
 from conftest import ADAPTER_SCRIPT, DATA_DIR, adapter_cmd, ans, logged_requests, run_python
 
@@ -218,14 +219,14 @@ class TestRecordExchanges:
             send = fn._exchange
             fn._exchange = lambda pairs: exchanges.append(pairs) or send(pairs)
             clf = CorrectnessClassifier.adapter_threshold(fn, 0.9)
-            row = score_joined(record, golds, True, ["avg-bleu"], fn, (clf,))
+            _, _, correct = score_verdicts(record, pack_gold(golds, True), ["avg-bleu"], fn, (clf,))
         proper = ["red apple", "apple"]
         assert exchanges == [
             [(a, b) for a in proper for b in proper],  # the avg-similarity square
             [("red apple", "red car")],  # the verdict row, less the pairs known
         ]
         assert logged_requests(log) == exchanges[0] + exchanges[1]
-        assert row.correct == {clf.name: True}  # ("red apple", "red apple") scores 1
+        assert correct == {clf.name: True}  # ("red apple", "red apple") scores 1
 
     def test_no_pair_is_sent_twice_in_a_run(self, tmp_path):
         log = tmp_path / "requests.jsonl"

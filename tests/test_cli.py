@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import selqa.cli as cli
-from selqa import EvalPoint, build_report, score_all, scoring
+from selqa import EvalPoint, build_report, metrics, score_all, scoring
+from selqa import io as selqa_io
+from selqa._columns import Columns
 from selqa.cli import main
 from selqa.io import emit_report, join, load_gold, load_predictions
 
@@ -652,6 +654,20 @@ class TestDuplicateIds:
             assert not out.exists()
 
     @pytest.mark.parametrize("command", ["evaluate", "score", "sweep"])
+    def test_empty_gold_id_names_its_record(self, tmp_path, capsys, command):
+        # an empty id could never match, and the join summary printed it as nothing
+        pred = tmp_path / "p.jsonl"
+        pred.write_text(SCORABLE + "\n")
+        gold = tmp_path / "g.json"
+        ids = ("q-good", "")
+        gold.write_text(json.dumps([{"question_id": q, "answers": [{"answer": "yes"}]} for q in ids]))
+        out = tmp_path / "out"
+        code = run(command, "--predictions", str(pred), "--gold", str(gold), "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == f"data error: {gold}: record 1: empty question_id\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "score", "sweep"])
     def test_repeated_gold_id_names_its_record(self, tmp_path, capsys, command):
         pred = tmp_path / "p.jsonl"
         pred.write_text(SCORABLE + "\n")
@@ -751,6 +767,53 @@ def test_scored_records_are_held_in_under_200_bytes_each(tmp_path, monkeypatch, 
         tracemalloc.stop()
     assert len(scored[0]) == n
     assert retained / n < 200, retained / n
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_score_output_is_held_once(tmp_path, monkeypatch, cpus):
+    # the JSONL held as a list of lines, a joined str and bytes peaked about 0.45 MiB above _score
+    assert run("synth", "--out", str(tmp_path), "--n", "2000", "--seed", "1") == 0
+    monkeypatch.setattr(cli, "_SHARD_MIN_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    argv = ["score", "--predictions", str(tmp_path / "predictions.jsonl"),
+            "--gold", str(tmp_path / "gold.json"), "--out", str(tmp_path / "scores.jsonl")]
+    assert main(argv) == 0  # imports and caches filled on first use are not the output's
+    score, peaks = cli._score, []
+
+    def traced_score(*args):
+        result = score(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return result
+
+    monkeypatch.setattr(cli, "_score", traced_score)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "scores.jsonl").stat().st_size > 2000 * 100
+    assert peak - peaks[0] <= 0.2 * 2**20, (peak - peaks[0]) / 2**20
+
+
+def test_a_curve_is_formatted_in_under_64_bytes_a_point():
+    # a RiskCoveragePoint per point and a list of line strings peaked about 248 bytes a point
+    n = 10_000
+    table = Columns(["m"])
+    for i in range(n):
+        table.append(f"q{i}", (True, i % 3 == 0, True, ((i * 7919 % n) / n,)))
+    ranking = metrics.rank_methods(table)["m"]
+    selqa_io.format_curve(metrics.curve_pairs(ranking))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        data = selqa_io.format_curve(metrics.curve_pairs(ranking))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.count(b"\n") == n + 1
+    assert peak / n < 64, peak / n
 
 
 class TestSynth:

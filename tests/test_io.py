@@ -1,6 +1,10 @@
 import copy
+import gc
 import json
 import math
+import sys
+import tracemalloc
+from typing import NamedTuple
 from unittest.mock import patch
 
 import pytest
@@ -19,6 +23,7 @@ from selqa import (
 from selqa import io as selqa_io
 from selqa.errors import DataError, DuplicateKeyError
 from selqa.io import (
+    JoinSummary,
     _accepted_record,
     _prediction_from_obj,
     dump_gold,
@@ -26,19 +31,26 @@ from selqa.io import (
     emit_curve,
     emit_report,
     emit_sweep,
+    gold_answerable,
+    gold_answers,
+    gold_entry,
+    gold_has,
     iter_predictions,
     join,
+    join_stream,
     load_gold,
     load_gold_index,
     load_predictions,
+    pack_gold,
     parse_report,
 )
 from selqa.metrics import RiskCoveragePoint, SweepRow
 from selqa.records import validate_record
 from selqa.synth import SynthConfig, generate
-from selqa.textnorm import normalize_answer
+from selqa.textnorm import distinct_normalized, normalize_answer
 
 from conftest import DATA_DIR
+from oracles import seen_join
 
 
 def write(path, text):
@@ -474,8 +486,13 @@ _gold_bytes = st.one_of(
 )
 
 
+def _read(index):
+    """A gold index as each id's (answers, answerable), through selqa.io's readers."""
+    return {qid: (gold_answers(entry), gold_answerable(entry)) for qid, entry in index.items()}
+
+
 def _whole_file_index(records):
-    """The gold index of a parsed array, built from the format's rules."""
+    """The gold index of a parsed array, built from the format's rules, as _read gives it."""
     return {
         r["question_id"]: (
             tuple(dict.fromkeys(normalize_answer(a["answer"]) for a in r["answers"])),
@@ -607,7 +624,7 @@ class TestGoldStreaming:
         _, data = multi_chunk_gold()
         path = tmp_path / "g.json"
         path.write_bytes(data)
-        index = load_gold_index(str(path))
+        index = _read(load_gold_index(str(path)))
         expected = {
             g.question_id: (
                 tuple(dict.fromkeys(normalize_answer(a.answer) for a in g.annotations)),
@@ -624,6 +641,32 @@ class TestGoldStreaming:
         with pytest.raises(DuplicateKeyError) as err:
             load_gold_index(path)
         assert str(err.value) == f"{path}: record 2: duplicate question_id 'a'"
+
+    def test_index_retains_under_200_bytes_an_entry(self, tmp_path):
+        # an entry as a tuple of answer strs and a bool retained about 366 bytes
+        n = 2000
+        _, gold = generate(SynthConfig(n=n, seed=1))  # the gold file of `selqa synth --n 2000`
+        path = str(tmp_path / "g.json")
+        dump_gold(gold, path)
+        load_gold_index(path)  # imports and caches filled on first use are not the index's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            index = load_gold_index(path)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(index) == n
+        assert retained / n < 200, retained / n
+
+    @pytest.mark.parametrize("load", [load_gold, load_gold_index])
+    def test_an_empty_question_id_is_refused(self, tmp_path, load):
+        data = [{"question_id": q, "answers": [{"answer": "x"}]} for q in ("a", "", "b")]
+        path = write(tmp_path / "g.json", json.dumps(data))
+        with pytest.raises(ParseError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: record 1: empty question_id"
 
     def test_valid_files_are_never_parsed_whole(self, tmp_path, monkeypatch):
         # the whole-file parse is only for naming an error; a valid file that
@@ -651,15 +694,23 @@ class TestGoldStreaming:
                 index = load_gold_index(str(gold_path))
             except DataError:
                 return
-        assert index == _whole_file_index(json.loads(data.decode("utf-8")))
+        assert _read(index) == _whole_file_index(json.loads(data.decode("utf-8")))
 
     @settings(max_examples=200, deadline=None)
     @given(data=_valid_gold, chunk=st.integers(1, 64))
     def test_a_valid_array_gives_the_whole_file_index(self, gold_path, data, chunk):
         gold_path.write_bytes(data)
+        records = json.loads(data.decode("utf-8"))
+        # an empty question_id is the one thing the strategy draws that the format refuses
+        empty = next((i for i, r in enumerate(records) if not r["question_id"]), None)
         with patch.object(selqa_io, "_CHUNK", chunk):
+            if empty is not None:
+                with pytest.raises(ParseError) as err:
+                    load_gold_index(str(gold_path))
+                assert str(err.value) == f"{gold_path}: record {empty}: empty question_id"
+                return
             index = load_gold_index(str(gold_path))
-        assert index == _whole_file_index(json.loads(data.decode("utf-8")))
+        assert _read(index) == _whole_file_index(records)
 
 
 def prediction(qid):
@@ -695,6 +746,100 @@ class TestJoin:
         pairs, summary = join([prediction(f"p{i}") for i in range(25)], [])
         assert summary.n_unmatched_predictions == 25
         assert len(summary.unmatched_predictions) == 10
+
+    def test_pairs_keep_their_gold_records(self):
+        gold = [gold_record("b"), GoldRecord("a", (GoldAnnotation("y", False),))]
+        pairs, summary = join([prediction("a"), prediction("c"), prediction("b")], gold)
+        assert [(p.question_id, g) for p, g in pairs] == [("a", gold[1]), ("b", gold[0])]
+        assert summary.describe() == "matched 2; 1 predictions unmatched (c)"
+
+
+class _Item(NamedTuple):
+    question_id: str
+    line: int
+
+
+_IDS = [f"q{i}" for i in range(14)]  # more than JoinSummary.MAX_IDS
+
+
+class TestJoinStream:
+    """The join marks matched entries in place of a set of every id it has seen."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(gold_ids=st.lists(st.sampled_from(_IDS), unique=True),
+           ids=st.one_of(st.lists(st.sampled_from(_IDS), unique=True),
+                         st.lists(st.sampled_from(_IDS), max_size=30)))
+    def test_equals_a_seen_set_join(self, gold_ids, ids):
+        index = {qid: pack_gold([qid], True) for qid in gold_ids}
+        summary = JoinSummary()
+        got, error = [], None
+        try:
+            for item in join_stream(map(_Item, ids, range(1, len(ids) + 1)), index, summary,
+                                    "p.jsonl"):
+                got.append(item.question_id)
+        except DuplicateKeyError as exc:
+            error = str(exc)
+        matched, fields, expected_error = seen_join(ids, gold_ids, "p.jsonl")
+        assert (got, error) == (matched, expected_error)
+        if fields is not None:
+            assert (summary.n_matched, summary.n_unmatched_predictions, summary.n_unmatched_gold,
+                    summary.unmatched_predictions, summary.unmatched_gold) == fields
+        # a marked entry reads as it did
+        assert all(gold_answers(index[qid]) == (qid,) and gold_answerable(index[qid])
+                   for qid in gold_ids)
+
+    def test_a_match_keeps_the_entry_size(self):
+        for answers in (["żółć", "x"], ["日本"], ["the"], ["😀 x"]):
+            entry = pack_gold(answers, False)
+            index = {"q": entry}
+            assert list(join_stream([_Item("q", 1)], index, JoinSummary())) == [_Item("q", 1)]
+            assert index["q"] != entry
+            assert sys.getsizeof(index["q"]) == sys.getsizeof(entry)
+            assert (gold_answers(index["q"]), gold_answerable(index["q"])) == (
+                distinct_normalized(answers), False)
+
+    def test_a_repeat_without_a_path_names_the_id(self):
+        summary = JoinSummary()
+        with pytest.raises(DuplicateKeyError) as err:
+            list(join_stream([_Item("a", 1), _Item("a", 2)], {}, summary))
+        assert str(err.value) == "duplicate question_id in predictions: 'a'"
+
+
+_RAW_ANSWERS = st.lists(
+    st.one_of(
+        st.sampled_from(["the", "", " ", "a an", "The Cat", "cat", "cat\u2028dog", "cat dog",
+                         "\u3000cat\u3000", "dog.", "x\ny", "x y", "\x1c", "\x85the\u2029"]),
+        st.text(alphabet=st.sampled_from("ab \n\t\u2028\u3000\x1c\x85.-"), max_size=6),
+        st.text(max_size=8),
+    ),
+    min_size=1, max_size=8,
+)
+
+
+class TestGoldEntries:
+    """A packed entry reads back as the tuple distinct_normalized gives."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(raws=_RAW_ANSWERS, answerable=st.booleans(), others=st.lists(st.text(max_size=6)))
+    def test_reader_and_exact_match_equal_the_tuple(self, raws, answerable, others):
+        golds = distinct_normalized(raws)
+        entry = pack_gold(raws, answerable)
+        assert gold_answers(entry) == golds
+        assert gold_answerable(entry) is answerable
+        for raw in [*raws, *others, "", "cat", "cat dog"]:
+            prediction = normalize_answer(raw)
+            assert gold_has(entry, prediction) is (prediction in golds)
+
+    def test_an_answer_that_normalizes_to_nothing_round_trips(self):
+        entry = pack_gold(["the", "cat"], True)
+        assert gold_answers(entry) == ("", "cat")
+        assert gold_has(entry, "") and gold_has(entry, "cat") and not gold_has(entry, "ca")
+        assert not gold_has(pack_gold(["cat"], True), "")
+
+    def test_a_record_packs_as_its_answers(self):
+        g = GoldRecord("q", (GoldAnnotation("A cat", False), GoldAnnotation("cat", True),
+                             GoldAnnotation("dog", False)))
+        assert gold_entry(g) == pack_gold(["A cat", "cat", "dog"], True)
 
 
 def sample_report():

@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 from selqa import EvalPoint, ScoredPrediction, build_report
 from selqa._columns import Columns
+from selqa.io import emit_curve, format_curve
 from selqa.metrics import (
     accuracy_at_trigger,
     coverage_at_accuracy,
+    curve_pairs,
     ece,
     rank_methods,
     ranked_curve,
@@ -22,6 +24,7 @@ from selqa.metrics import (
 from oracles import (
     binned_ece,
     cut_sweep,
+    formatted_curve,
     pairwise_auc,
     prefix_coverage,
     prefix_curve,
@@ -338,3 +341,27 @@ class TestSharedRanking:
     def test_nothing_triggered_gives_an_empty_curve(self):
         rankings = rank_methods(Columns.from_rows([scored("a", False)], ["likelihood"], "em"))
         assert ranked_curve(rankings["likelihood"]) == []
+
+
+_CURVE_POINTS = st.integers(0, 3).flatmap(lambda kind: st.lists(
+    st.builds(EvalPoint,
+              score=st.sampled_from([0.0, 0.1, 0.5, 0.5000000000000001, 0.9, 1.0]),
+              # every point wrong, every point right, or either
+              correct=(st.just(False), st.just(True), st.booleans(), st.booleans())[kind],
+              record_id=st.sampled_from(["a", "b", "c", "d"])),
+    max_size=60,
+))
+
+
+class TestCurveBytes:
+    """evaluate formats each curve straight from its ranking."""
+
+    @given(points=_CURVE_POINTS)
+    def test_equal_emit_curve_of_the_ranked_curve(self, points):
+        table = Columns(["m"])
+        for p in points:
+            table.append(p.record_id, (True, p.correct, True, (p.score,)))
+        ranking = rank_methods(table)["m"]  # ([], [0]) when there are no points
+        data = format_curve(curve_pairs(ranking))
+        assert data == emit_curve(ranked_curve(ranking))
+        assert data == formatted_curve(prefix_curve(points))
