@@ -8,12 +8,14 @@ ScoredPrediction with its scores and verdicts dicts held about 500 bytes.
 Only this module builds the table; the metrics read its columns, and the
 CLI's score output reads its records.
 
-The CLI's scoring step yields one Scored item per dump record, with its
-result as a plain tuple, and the loop appends the result to the table once
-the join has passed the record. Forked workers (selqa._shards) send their
-items in frames that encode_frame builds and decode_frame reads back: the
-frame's ids, lines, one flag byte per item and each method's scores as
-array bytes, in one marshal dump.
+The CLI's scoring step yields one Scored item per dump record: its trigger
+decision, its normalized greedy text and its scores, or the error scoring
+it raised. The loop decides the verdict and appends the row to the table
+once the join has passed the record. Forked workers (selqa._shards) send
+their items in frames that encode_frame builds and decode_frame reads
+back: the frame's ids, lines, one flag byte per item, the greedy texts,
+each method's scores as array bytes and each failed item's error, in one
+marshal dump.
 """
 
 from __future__ import annotations
@@ -25,17 +27,22 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import AdapterError, DataError, SelqaError
 from .records import ScoredPrediction
 
-#: One scored record: (triggered, correct, answerable, scores in the table's
-#: method order). correct is False for an abstained record.
-Result = tuple[bool, bool, bool, Sequence[float]]
+#: One record of the table: (triggered, correct, answerable, scores in the
+#: table's method order). correct is False for an abstained record.
+Row = tuple[bool, bool, bool, Sequence[float]]
+
+#: A record the step scored: (triggered, normalized greedy text if triggered
+#: and a verdict will read it, else None, scores in the table's method order).
+Result = tuple[bool, str | None, Sequence[float]]
 
 
 class Scored(NamedTuple):
     """One dump record after the scoring step, as the join and the loop take it.
 
-    result is None for a record the gold index lacks, which is not scored;
-    error is the located error scoring the record raised, which the loop
-    raises once the join has passed the record.
+    result is None for a record the step did not score: one the gold ids
+    lack, or one whose scoring failed. error is the located error scoring
+    the record raised, which the loop raises once the join has passed the
+    record; the join drops it with an unmatched record.
     """
 
     question_id: str
@@ -70,8 +77,8 @@ class Columns:
         """Correct records; only a triggered record can be correct."""
         return self.correct.count(1)
 
-    def append(self, question_id: str, result: Result) -> None:
-        triggered, correct, answerable, scores = result
+    def append(self, question_id: str, row: Row) -> None:
+        triggered, correct, answerable, scores = row
         self.ids.append(question_id)
         self.triggered.append(triggered)
         self.correct.append(correct)
@@ -113,65 +120,68 @@ _KINDS = (DataError, AdapterError, OSError)
 # An item's flag byte.
 _SCORED = 1  # it has a result
 _TRIGGERED = 2
-_CORRECT = 4
-_ANSWERABLE = 8
-_FAILED = 16  # the frame's error is this item's
+_FAILED = 4  # it has an error
 
 
 def encode_frame(items: Sequence[Scored], error: Exception | None = None) -> bytes:
-    """items as one frame of columns; error, if given, follows the last item.
-
-    Only the last item may carry an error, and then error must be None.
-    """
+    """items as one frame of columns; error, if given, follows the last item."""
     flags = bytearray()
+    texts: list[str | None] = []  # the scored items' greedy texts
     columns: list[array] = []  # the scored items' scores, one column per method
+    failures = []  # the failed items' errors
     for item in items:
         if item.error is not None:
-            error = item.error
             flags.append(_FAILED)
+            failures.append(_encoded(item.error))
         elif item.result is None:
             flags.append(0)
         else:
-            triggered, correct, answerable, scores = item.result
-            flags.append(_SCORED | triggered * _TRIGGERED | correct * _CORRECT
-                         | answerable * _ANSWERABLE)
+            triggered, text, scores = item.result
+            flags.append(_SCORED | triggered * _TRIGGERED)
+            texts.append(text)
             columns = columns or [array("d") for _ in scores]
             for column, score in zip(columns, scores, strict=True):
                 column.append(score)
-    failure = None if error is None else (_kind(error), str(error))
     return marshal.dumps((
         [item.question_id for item in items],
         [item.line for item in items],
         bytes(flags),
+        texts,
         [column.tobytes() for column in columns],
-        failure,
+        failures,
+        None if error is None else _encoded(error),
     ))
 
 
 def decode_frame(frame: bytes) -> Iterator[Scored]:
     """The items of an encode_frame frame; an error that follows them is raised after them."""
-    ids, lines, flags, raw, failure = marshal.loads(frame)
-    error = None if failure is None else _KINDS[failure[0]](failure[1])
+    ids, lines, flags, texts, raw, failures, failure = marshal.loads(frame)
     columns = []
     for data in raw:
         column = array("d")
         column.frombytes(data)
         columns.append(column)
+    errors = iter(failures)
     scored = 0
     for question_id, line, flag in zip(ids, lines, flags):
         if flag & _FAILED:
-            yield Scored(question_id, line, None, error)
-            return
-        result = None
-        if flag & _SCORED:
-            result = (bool(flag & _TRIGGERED), bool(flag & _CORRECT), bool(flag & _ANSWERABLE),
-                      [column[scored] for column in columns])
+            yield Scored(question_id, line, None, _decoded(next(errors)))
+        elif flag & _SCORED:
+            yield Scored(question_id, line, (bool(flag & _TRIGGERED), texts[scored],
+                                             [column[scored] for column in columns]), None)
             scored += 1
-        yield Scored(question_id, line, result, None)
-    if error is not None:
-        raise error
+        else:
+            yield Scored(question_id, line, None, None)
+    if failure is not None:
+        raise _decoded(failure)
 
 
-def _kind(exc: Exception) -> int:
-    """The index in _KINDS of the class the parent raises in place of exc."""
-    return next(i for i, kind in enumerate(_KINDS) if isinstance(exc, kind))
+def _encoded(error: Exception) -> tuple[int, str]:
+    """error as a frame carries it: the index in _KINDS of its class, and its message."""
+    return next(i for i, kind in enumerate(_KINDS) if isinstance(error, kind)), str(error)
+
+
+def _decoded(failure: tuple[int, str]) -> Exception:
+    """The error a frame's (kind, message) pair stands for, as the parent raises it."""
+    kind, message = failure
+    return _KINDS[kind](message)

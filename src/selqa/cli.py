@@ -9,12 +9,17 @@ dump: the adapter is launched, the gold file, if any, is read into a
 compact index (one str per question id: selqa.io.pack_gold), and then each
 dump line is parsed and checked, goes through one scoring step and is
 joined in turn; the join marks the entries it matches rather than keeping
-a set of every id. The process holds the gold index, one record and the
+a set of every id. The step yields a record's trigger decision, scores and
+normalized greedy text, and the loop decides the verdict, with any
+classifier, once the join has passed the record. Under --methods
+likelihood alone the loader builds no samples, as no method reads them.
+The process holds the gold index, one record and the
 scored records as columns (selqa._columns: ids, flag bytes and a float
 array per method), never the whole dump and no object per record or gold
 entry; the report, curves and sweep read one ranking per method of those
 columns (metrics.rank_methods), and each curve and the score JSONL are
-written line by line into one buffer. score without --gold joins nothing,
+written line by line into one buffer, which goes to stdout as its bytes.
+score without --gold joins nothing,
 so ids may repeat. A record the loader accepts but a scoring
 method cannot score (no greedy logprobs, no samples, sample probabilities
 summing above 1) is a data error naming the file, the line and the
@@ -26,20 +31,24 @@ first failing dump line wins, whether it fails to parse, repeats an id,
 cannot be scored (exit 2) or breaks the adapter (exit 3), so lines before
 it have already been scored, adapter requests included. The step keeps a
 record's scoring error for the loop to raise once the join has passed the
-record, so a line that repeats an id is scored before it is rejected, and
-the duplicate is reported even when the line cannot be scored. The join
+record, so a line that repeats an id is scored before it is rejected (its
+verdict is never decided), and the duplicate is reported even when the
+line cannot be scored. The join
 summary is printed once the last line is read. Outputs are written only
 after that, all or none (each staged under its own name in a temp
 directory beside its target, then all renamed), and are byte-identical
 across runs.
 
 With more than one CPU, a dump that is a regular file of at least two
-shards' minimum bytes is cut at line starts once the gold index is built;
-forked workers (selqa._shards) run the loop's scoring step on every shard
-but the first, which the process scores itself, and their items join the
-loop in file order, so the join summary, the first error, the outputs
-and the exit code are those of a serial run. A run stays serial with an
-adapter, on a pipe or FIFO, on a small dump and while another thread runs.
+shards' minimum bytes is cut at line starts, and one forked worker per
+shard (selqa._shards) runs the loop's scoring step before the gold file is
+read, so the process reads the gold file while the workers score. Each
+worker gets the gold ids once the index is built, and from then on skips
+the records the gold lacks. Their items join the loop in file order, so
+the gold error, the join summary, the first error, the outputs and the
+exit code are those of a serial run. A run stays serial, and reads the
+gold file first, with an adapter, on a pipe or FIFO, on a small dump and
+while another thread runs.
 """
 
 from __future__ import annotations
@@ -55,7 +64,7 @@ import tempfile
 import threading
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from . import io as selqa_io
 from . import metrics, scoring
@@ -64,6 +73,7 @@ from .correctness import CorrectnessClassifier
 from .errors import AdapterError, DataError, UsageError
 from .similarity import BleuSimilarity, SimilarityFn
 from .records import PredictionRecord
+from .textnorm import normalize_answer
 
 _EXIT_USAGE = 1
 _EXIT_DATA = 2
@@ -208,7 +218,7 @@ def _build_classifier(args: argparse.Namespace, fn: SimilarityFn) -> Correctness
     return CorrectnessClassifier.adapter_threshold(fn, args.threshold)
 
 
-def _located(predictions_path: str, record: PredictionRecord, exc: Exception) -> str:
+def _located(predictions_path: str, record: PredictionRecord | Scored, exc: Exception) -> str:
     return f"{predictions_path}: line {record.line}: question_id {record.question_id!r}: {exc}"
 
 
@@ -267,7 +277,9 @@ def _write_outputs(
                 os.rmdir(directory)
     for data, out in outputs:
         if out is None:
-            sys.stdout.write(data.decode("utf-8"))
+            # the bytes as they are, whatever the encoding of the text stream
+            sys.stdout.flush()
+            sys.stdout.buffer.write(data)
 
 
 def _missing_dirs(path: str) -> list[str]:
@@ -293,32 +305,30 @@ def _score(
     Returns the scored records as a column table, the classifier (None
     without --gold, when no record is correct and ids may repeat) and the
     similarity's name. Every record goes through one scoring step, which
-    makes ScoredPrediction's checks without building one. When _shard_cuts
-    cuts the dump, forked workers (selqa._shards) run that step on every
-    shard but the first, and their items join the loop in file order after
-    this process's own shard.
+    makes ScoredPrediction's checks on its scores without building one, and
+    the loop decides each verdict once the join has passed the record. When
+    _shard_cuts cuts the dump, one forked worker per shard (selqa._shards)
+    runs that step while this process reads the gold file, and their items
+    join the loop in file order; a serial run reads the gold file first.
     """
     _check_classifier_flags(args)
+    # likelihood reads only the greedy answer; every other method reads the samples
+    samples = any(method != "likelihood" for method in methods)
     with _build_similarity(args) as fn:
         classifier = _build_classifier(args, fn) if args.gold else None
-        classifiers = (classifier,) if classifier else ()
-        gold = selqa_io.load_gold_index(args.gold) if args.gold else None
-        # without gold: no answers to check, and an answerable flag no output reads
-        no_gold = selqa_io.pack_gold((), False)
 
-        def step(records: Iterable[PredictionRecord]) -> Iterator[Scored]:
+        def step(
+            records: Iterable[PredictionRecord], known: Container[str] | None
+        ) -> Iterator[Scored]:
             for record in records:
-                # an entry the join has marked is read as it was, so a repeated id is scored
-                entry = gold.get(record.question_id) if gold is not None else no_gold
                 result = error = None
-                if entry is not None:
+                if known is None or record.question_id in known:
                     try:
-                        triggered, scores, correct = scoring.score_verdicts(
-                            record, entry, methods, fn, classifiers)
-                        # the one classifier's verdict; False when abstained or without gold
-                        result = (triggered, any(correct.values()),
-                                  selqa_io.gold_answerable(entry),
-                                  [scores[method] for method in methods])
+                        triggered, scores = scoring.score_checked(record, methods, fn)
+                        # what the verdict reads, once the join has passed the record
+                        text = (normalize_answer(record.greedy.text)
+                                if triggered and classifier else None)
+                        result = (triggered, text, [scores[method] for method in methods])
                     except ValueError as exc:
                         error = DataError(_located(args.predictions, record, exc))
                     except AdapterError as exc:
@@ -330,20 +340,36 @@ def _score(
         if cuts is not None:
             from . import _shards
 
-            workers = _shards.fork_workers(args.predictions, cuts, step)
-        head = selqa_io.iter_predictions(args.predictions, 0, cuts[1] if workers else None)
+            workers = _shards.fork_workers(args.predictions, cuts, step, samples)
+        records = None
         summary = selqa_io.JoinSummary()
         try:
-            items = chain(step(head), *workers)
+            # a gold error comes first, also while the workers score
+            gold = selqa_io.load_gold_index(args.gold) if args.gold else None
+            if workers:
+                _shards.send_ids(workers, gold)
+                items = chain.from_iterable(workers)
+            else:
+                records = selqa_io.iter_predictions(args.predictions, samples=samples)
+                items = step(records, gold)
             if gold is not None:
                 items = selqa_io.join_stream(items, gold, summary, args.predictions)
             table = Columns(methods)
             for item in items:
                 if item.error is not None:
                     raise item.error
-                table.append(item.question_id, item.result)
+                triggered, text, scores = item.result
+                correct = answerable = False
+                if gold is not None:
+                    # the entry the join has marked still holds its flag and answers
+                    entry = gold[item.question_id]
+                    answerable = selqa_io.gold_answerable(entry)
+                    if triggered:
+                        correct = _verdict(args, classifier, item, text, entry)
+                table.append(item.question_id, (triggered, correct, answerable, scores))
         finally:
-            head.close()
+            if records is not None:
+                records.close()
             for worker in workers:
                 worker.stop()
     if not summary.clean:
@@ -351,6 +377,19 @@ def _score(
     if gold is not None and not table:
         raise DataError("no overlapping question ids between predictions and gold")
     return table, classifier, fn.name
+
+
+def _verdict(
+    args: argparse.Namespace, classifier: CorrectnessClassifier, item: Scored, text: str,
+    entry: str,
+) -> bool:
+    """The classifier's verdict on a triggered record's normalized greedy text, located."""
+    try:
+        return classifier._verdict(text, entry)
+    except ValueError as exc:
+        raise DataError(_located(args.predictions, item, exc)) from exc
+    except AdapterError as exc:
+        raise AdapterError(_located(args.predictions, item, exc)) from exc
 
 
 def _shard_cuts(args: argparse.Namespace) -> list[int] | None:
@@ -375,13 +414,16 @@ def _shard_cuts(args: argparse.Namespace) -> list[int] | None:
     if not stat.S_ISREG(info.st_mode) or n < 2:
         return None
     cuts = [0]
-    with open(args.predictions, "rb") as f:
-        for k in range(1, n):
-            # From the byte before the split, so a line starting there is not skipped.
-            f.seek(max(size * k // n - 1, cuts[-1]))
-            f.readline()
-            if cuts[-1] < f.tell() < size:
-                cuts.append(f.tell())
+    try:
+        with open(args.predictions, "rb") as f:
+            for k in range(1, n):
+                # From the byte before the split, so a line starting there is not skipped.
+                f.seek(max(size * k // n - 1, cuts[-1]))
+                f.readline()
+                if cuts[-1] < f.tell() < size:
+                    cuts.append(f.tell())
+    except OSError:
+        return None  # the serial read reports it, after any gold error
     return cuts + [size] if len(cuts) > 1 else None
 
 

@@ -92,7 +92,12 @@ def load_predictions(path: str) -> list[PredictionRecord]:
 
 
 def iter_predictions(
-    path: str, start: int = 0, end: int | None = None, first_line: int = 1
+    path: str,
+    start: int = 0,
+    end: int | None = None,
+    first_line: int = 1,
+    *,
+    samples: bool = True,
 ) -> Iterator[PredictionRecord]:
     """Parse and validate a prediction dump one line at a time, in file order.
 
@@ -103,7 +108,9 @@ def iter_predictions(
 
     start and end, byte offsets at line starts, limit the read to the lines
     between them (end None: to the end of the file); first_line is the
-    number of the line at start.
+    number of the line at start. With samples False, every sample is checked
+    as before but each record is yielded with samples=(), for a caller that
+    reads only the greedy answer (likelihood scoring).
     """
     with open(path, "rb") as f:
         if start:  # a pipe cannot seek; it is only ever read from its start
@@ -125,7 +132,8 @@ def iter_predictions(
                 raise ParseError(path, where, _json_limit(exc)) from exc
             if b"\\u" in raw:
                 _check_unicode(obj, path, where)
-            yield _accepted_record(obj, lineno) or _checked_record(obj, lineno, path, where)
+            yield (_accepted_record(obj, lineno, samples)
+                   or _checked_record(obj, lineno, path, where, samples))
 
 
 def _lines_until(f: BinaryIO, size: int) -> Iterator[bytes]:
@@ -137,8 +145,13 @@ def _lines_until(f: BinaryIO, size: int) -> Iterator[bytes]:
         yield raw
 
 
-def _checked_record(obj: object, line: int, path: str, where: str) -> PredictionRecord:
-    """The record obj holds, checked field by field; a ParseError names any fault."""
+def _checked_record(
+    obj: object, line: int, path: str, where: str, with_samples: bool = True
+) -> PredictionRecord:
+    """The record obj holds, checked field by field; a ParseError names any fault.
+
+    With with_samples False, the record is returned without its checked samples.
+    """
     try:
         record = _prediction_from_obj(obj, line)
     except KeyError as exc:
@@ -148,6 +161,8 @@ def _checked_record(obj: object, line: int, path: str, where: str) -> Prediction
     violations = validate_record(record)
     if violations:
         raise ParseError(path, where, "; ".join(violations))
+    if not with_samples:
+        return PredictionRecord(record.question_id, record.greedy, (), record.meta, line)
     return record
 
 
@@ -184,7 +199,9 @@ _NUMBER = frozenset({int, float})
 _EMPTY: list = []
 
 
-def _accepted_record(obj: object, line: int) -> PredictionRecord | None:
+def _accepted_record(
+    obj: object, line: int, with_samples: bool = True
+) -> PredictionRecord | None:
     """The record a decoded dump line holds if it is valid, else None.
 
     Checks the whole record in a few passes over its answers and logprobs
@@ -192,7 +209,8 @@ def _accepted_record(obj: object, line: int) -> PredictionRecord | None:
     signs and finiteness through max and sum, then text against logprobs.
     None sends the line to _prediction_from_obj and validate_record, which
     name every fault, and accept what these passes are too coarse for: a
-    record whose finite logprobs sum beyond float range.
+    record whose finite logprobs sum beyond float range. With with_samples
+    False, the samples are checked but no SampledAnswer is built for them.
     """
     if type(obj) is not dict or "greedy" not in obj:
         return None
@@ -228,6 +246,8 @@ def _accepted_record(obj: object, line: int) -> PredictionRecord | None:
         return None
     if list(map(bool, texts)) != list(map(bool, logprobs)):
         return None
+    if not with_samples:
+        return PredictionRecord(qid, SampledAnswer(texts[0], logprobs[0]), (), meta, line)
     greedy, *rest = map(SampledAnswer, texts, logprobs)
     return PredictionRecord(question_id=qid, greedy=greedy, samples=rest, meta=meta, line=line)
 

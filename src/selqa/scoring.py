@@ -188,6 +188,16 @@ def score_all(
     return ScoredPrediction(record.question_id, triggered, scores, correct, gold.answerable)
 
 
+def score_checked(
+    record: PredictionRecord, methods: Iterable[str], fn: SimilarityFn | None
+) -> tuple[bool, dict[str, float]]:
+    """A record's trigger decision and scores, each score checked as ScoredPrediction does."""
+    triggered = trigger_decision(record.greedy)
+    scores = score_record(record, methods, fn)
+    check_scored(triggered, scores, {})
+    return triggered, scores
+
+
 def score_verdicts(
     record: PredictionRecord,
     gold: str,
@@ -201,12 +211,10 @@ def score_verdicts(
     records get scores but no verdicts. The result passes the checks a
     ScoredPrediction makes (records.check_scored), with its messages.
     """
-    triggered = trigger_decision(record.greedy)
-    scores = score_record(record, methods, fn)
+    triggered, scores = score_checked(record, methods, fn)
     correct: dict[str, bool] = {}
     if triggered:
         prediction = normalize_answer(record.greedy.text)
         for clf in classifiers:
             correct[clf.name] = clf._verdict(prediction, gold)
-    check_scored(triggered, scores, correct)
     return triggered, scores, correct

@@ -24,13 +24,17 @@ def logged_requests(log: Path) -> list[tuple[str, str]]:
     return [(r["a"], r["b"]) for r in map(json.loads, log.read_text("utf-8").splitlines())]
 
 
-def run_python(args: list[str], **kwargs) -> subprocess.CompletedProcess:
-    """Run a fresh interpreter that imports selqa from this checkout."""
-    env = dict(os.environ)
+def run_python(
+    args: list[str], env: dict[str, str] | None = None, **kwargs
+) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports selqa from this checkout; env adds variables.
+
+    Its output is text unless text=False is given.
+    """
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, **kwargs
-    )
+    kwargs.setdefault("text", True)
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, **kwargs)
 
 
 def ans(text: str, *logprobs: float) -> SampledAnswer:

@@ -17,7 +17,7 @@ from selqa._columns import Columns
 from selqa.cli import main
 from selqa.io import emit_report, join, load_gold, load_predictions
 
-from conftest import DATA_DIR, adapter_cmd, run_python
+from conftest import DATA_DIR, adapter_cmd, logged_requests, run_python
 
 
 def run(*argv) -> int:
@@ -386,6 +386,25 @@ def test_nothing_to_report_is_a_data_error(tmp_path, capsys, command, line, gold
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1", "utf-16"])
+@pytest.mark.parametrize("command", ["evaluate", "score"])
+def test_stdout_gets_the_bytes_out_gets(tmp_path, command, encoding):
+    # the markdown report's "—" (nothing answered) and the id's "ż" have no ascii or
+    # latin-1 form, and utf-16 would encode them, and every other character, apart
+    line = _scorable("q-ż").replace("red apple", "unanswerable", 1)
+    pred, gold = tmp_path / "p.jsonl", tmp_path / "g.json"
+    pred.write_text(line + "\n", encoding="utf-8")
+    gold.write_text(json.dumps([{"question_id": "q-ż", "answers": [{"answer": "red apple"}]}]))
+    argv = ["-m", "selqa.cli", command, "--predictions", str(pred), "--gold", str(gold)]
+    out = tmp_path / "out"
+    written = run_python([*argv, "--out", str(out)], text=False, timeout=60)
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    printed = run_python(argv, env={"PYTHONIOENCODING": encoding}, text=False, timeout=60)
+    assert (printed.returncode, printed.stderr) == (0, b"")
+    assert printed.stdout == out.read_bytes()
+    assert "—".encode() in printed.stdout if command == "evaluate" else "ż".encode() in printed.stdout
+
+
 class TestStreamedErrorOrder:
     """The gold file is read first, then the dump line by line: a gold error
     wins, after it the first failing line does, and the join summary is
@@ -652,6 +671,26 @@ class TestDuplicateIds:
                 f"data error: {pred}: line 3: question_id 'q-good': duplicate question_id\n"
             )
             assert not out.exists()
+
+    def test_a_repeated_line_sends_no_verdict_pairs(self, tmp_path, capsys):
+        # it is scored, so its avg-similarity pairs go out, but the join rejects it
+        # before its verdict is decided
+        log = tmp_path / "requests.log"
+        repeat = _scorable("q1").replace("red apple", "blue sky").replace("red car", "grey sky")
+        pred, gold = tmp_path / "p.jsonl", tmp_path / "g.json"
+        pred.write_text(_scorable("q1") + "\n" + repeat + "\n")
+        gold.write_text(json.dumps([{"question_id": "q1", "answers": [{"answer": "green tea"}]}]))
+        code = run("evaluate", "--predictions", str(pred), "--gold", str(gold),
+                   "--adapter-cmd", " ".join(adapter_cmd("jaccard", log)),
+                   "--adapter-name", "jaccard", "--classifier", "adapter-threshold")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: {pred}: line 2: question_id 'q1': duplicate question_id\n"
+        )
+        pairs = [set(pair) for pair in logged_requests(log)]
+        assert {"red apple", "green tea"} in pairs  # line 1's verdict
+        assert {"blue sky", "grey sky"} in pairs  # line 2's avg-jaccard
+        assert {"blue sky", "green tea"} not in pairs
 
     @pytest.mark.parametrize("command", ["evaluate", "score", "sweep"])
     def test_empty_gold_id_names_its_record(self, tmp_path, capsys, command):

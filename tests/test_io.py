@@ -3,7 +3,9 @@ import gc
 import json
 import math
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
 from typing import NamedTuple
 from unittest.mock import patch
 
@@ -188,6 +190,15 @@ def per_field_record(obj, line):
     return None if validate_record(record) else record
 
 
+def _loaded(path, samples):
+    """The one record of a one-record dump, read with or without samples, or its ParseError."""
+    try:
+        [record] = iter_predictions(path, samples=samples)
+    except ParseError as exc:
+        return exc
+    return record
+
+
 def logprob_types(record):
     return [type(v) for a in (record.greedy, *record.samples) for v in a.logprobs]
 
@@ -353,6 +364,24 @@ class TestAcceptPass:
         assert set(logprob_types(fast)) <= {float}
         assert type(fast.samples) is tuple
         assert all(type(a.logprobs) is tuple for a in (fast.greedy, *fast.samples))
+
+    @pytest.mark.parametrize("fault", [None, *sorted(FAULTS)])
+    @settings(max_examples=20, deadline=None)
+    @given(obj=record_objs(), more=st.lists(st.sampled_from(sorted(FAULTS)), max_size=2),
+           data=st.data())
+    def test_skipped_samples_leave_the_record_or_the_error(self, fault, obj, more, data):
+        # samples=False makes the same checks, and only drops the samples it yields
+        for name in filter(None, [fault, *more]):
+            FAULTS[name](obj, data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp) / "p.jsonl", "\n" + json.dumps(obj) + "\n")
+            full, skipped = (_loaded(path, samples) for samples in (True, False))
+        if isinstance(full, ParseError):
+            assert type(skipped) is ParseError and str(skipped) == str(full)
+            return
+        assert skipped == PredictionRecord(full.question_id, full.greedy, (), full.meta)
+        assert skipped.line == full.line == 2
+        assert logprob_types(skipped) == logprob_types(full)[: len(full.greedy.logprobs)]
 
     @settings(max_examples=100, deadline=None)
     @given(record_objs())

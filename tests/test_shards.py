@@ -6,16 +6,20 @@ workers. The shard minimum is patched down so that small dumps are cut, and
 os.sched_getaffinity is patched to set the worker count.
 """
 
+import gc
 import json
 import os
+import select
 import signal
 import threading
+import warnings
 from pathlib import Path
 
 import pytest
 
 import selqa.cli as cli
-from selqa import _shards
+from selqa import _shards, scoring
+from selqa import io as selqa_io
 
 from conftest import DATA_DIR, adapter_cmd, run_python
 
@@ -112,6 +116,92 @@ def _shard_of(path: str, line: int, n: int, monkeypatch) -> int:
     return sum(1 for cut in cuts[1:-1] if cut <= offset)
 
 
+def _shard_lines(path, n: int, monkeypatch) -> list[list[int]]:
+    """The line numbers each shard of path holds when cut for n workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    args = cli.build_parser().parse_args(["score", "--predictions", str(path)])
+    cuts = cli._shard_cuts(args)
+    shards: list[list[int]] = [[] for _ in cuts[1:]]
+    offset = 0
+    for line, raw in enumerate(Path(path).read_bytes().splitlines(True), start=1):
+        shards[sum(1 for cut in cuts[1:-1] if cut <= offset)].append(line)
+        offset += len(raw)
+    return shards
+
+
+@pytest.fixture
+def gold_after_scoring(monkeypatch):
+    """Hold each run's gold read until every worker has finished scoring its shard.
+
+    A worker writes its frames only after it has closed its end of the ids
+    pipe, so the ids reach no worker. Returns a list that counts the
+    BrokenPipeErrors the parent's writes of ids met.
+    """
+    workers = []
+    fork_workers = _shards.fork_workers
+
+    def forked(*args):
+        workers[:] = fork_workers(*args)
+        return workers
+
+    load_gold_index = selqa_io.load_gold_index
+
+    def held(path):
+        pipes = [worker.pipe for worker in workers]
+        while pipes:
+            ready, _, _ = select.select(pipes, [], [], 60)
+            assert ready, "a worker did not finish its shard"
+            pipes = [pipe for pipe in pipes if pipe not in ready]
+        return load_gold_index(path)
+
+    broken = []
+    write = os.write
+
+    def counted(fd, data):
+        try:
+            return write(fd, data)
+        except BrokenPipeError:
+            broken.append(fd)
+            raise
+
+    monkeypatch.setattr(_shards, "fork_workers", forked)
+    monkeypatch.setattr(selqa_io, "load_gold_index", held)
+    monkeypatch.setattr(os, "write", counted)
+    return broken
+
+
+@pytest.fixture
+def ids_at_the_first_frame(monkeypatch):
+    """Make each worker wait for the gold ids at its first frame boundary."""
+    poll = _shards._GoldIds.poll
+    monkeypatch.setattr(_shards._GoldIds, "poll", lambda self, timeout=0.0: poll(self, 60))
+
+
+@pytest.fixture
+def scored_ids(monkeypatch, tmp_path):
+    """read(): the ids every process has scored since the last read, in the order logged."""
+    log = tmp_path / "scored.log"
+    score_checked = scoring.score_checked
+
+    def logged(record, methods, fn):
+        with open(log, "a", encoding="utf-8") as f:
+            f.write(record.question_id + "\n")
+        return score_checked(record, methods, fn)
+
+    monkeypatch.setattr(scoring, "score_checked", logged)
+
+    def read():
+        ids = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+        log.unlink(missing_ok=True)
+        return ids
+
+    return read
+
+
+def _gold_of(ids) -> str:
+    return json.dumps([{"question_id": q, "answers": [{"answer": "red apple"}]} for q in ids])
+
+
 class TestEqualBytes:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("argv,golden", [
@@ -132,7 +222,7 @@ class TestEqualBytes:
                                              "--out", out)
         assert (code, stdout, err) == (0, "", "")
         assert written == {str(out): (DATA_DIR / golden).read_bytes()}
-        assert len(sharded.forks) == n - 1
+        assert len(sharded.forks) == (n if n > 1 else 0)  # one worker per shard
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_golden_curves(self, sharded, tmp_path, n):
@@ -164,7 +254,7 @@ class TestEqualBytes:
             argv += ["--curves-out", tmp_path / "curves"]
         code, _, _, written = _same_at_any_count(sharded, *argv)
         assert code == 0 and written
-        assert len(sharded.forks) == 2
+        assert len(sharded.forks) == 3
 
     def test_synth_dump_without_gold(self, sharded, tmp_path, synth_dump):
         pred, _ = synth_dump
@@ -264,14 +354,89 @@ class TestErrorOrder:
         assert code == 0 and json.loads(stdout)["n_total"] == 9
         assert err == "join: matched 9; 1 predictions unmatched (bad); 2 gold unmatched (q9, q10)\n"
 
-    def test_gold_error_starts_no_worker(self, sharded, tmp_path):
+    @pytest.mark.parametrize("when", ["before", "after"])
+    def test_unscorable_unmatched_record_and_the_ids(
+        self, sharded, tmp_path, monkeypatch, request, scored_ids, when
+    ):
+        # the worker scores the line before the ids reach it, and skips it after
+        request.getfixturevalue("gold_after_scoring" if when == "before"
+                                else "ids_at_the_first_frame")
+        ids = [f"q{i:03d}" for i in range(399)]
+        lines = [_line(q) for q in ids]
+        lines.insert(349, MALFORMED["no-samples"])  # line 350, past a frame in its shard
+        pred = tmp_path / "p.jsonl"
+        pred.write_text("".join(line + "\n" for line in lines))
+        for n in (2, 3):
+            shard = next(s for s in _shard_lines(pred, n, monkeypatch) if 350 in s)
+            assert shard.index(350) >= _shards._BATCH
         gold = tmp_path / "g.json"
-        gold.write_text('[{"question_id": "q1", "answers": []}]\n')
+        gold.write_text(_gold_of(ids))
+        argv = ["evaluate", "--predictions", pred, "--gold", gold, "--format", "json"]
+        serial = sharded(1, *argv)
+        assert "bad" not in scored_ids()
+        code, stdout, err, _ = serial
+        assert code == 0 and json.loads(stdout)["n_total"] == 399
+        assert err == "join: matched 399; 1 predictions unmatched (bad)\n"
+        for n in (2, 3):
+            assert sharded(n, *argv) == serial
+            assert ("bad" in scored_ids()) == (when == "before")
+
+    def test_a_worker_done_before_the_ids_leaves_no_trace(
+        self, sharded, tmp_path, gold_after_scoring
+    ):
+        argv = ["evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
+                "--out", tmp_path / "out"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for n in (2, 3):
+                gold_after_scoring.clear()
+                code, stdout, err, written = sharded(n, *argv)
+                assert (code, stdout, err) == (0, "", "")
+                assert written == {str(tmp_path / "out"):
+                                   (DATA_DIR / "golden_report.md").read_bytes()}
+                # each worker had closed its ids pipe, and the parent wrote no more to it
+                assert len(set(gold_after_scoring)) == n
+            gc.collect()
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+    def test_gold_error_while_workers_score(self, sharded, tmp_path, monkeypatch):
+        # the first shard holds a matched line that cannot be scored, the last a line
+        # that does not parse; the gold error still comes first
+        gold = tmp_path / "g.json"
+        gold.write_text('[{"question_id": "q1", "answers": [{"answer": "x"}]},'
+                        ' {"question_id": "q2", "answers": []}]\n')
+        unscorable = MALFORMED["no-samples"].replace('"bad"', '"q1"')
+        lines = [unscorable] + [_line(f"q{i}", len(unscorable)) for i in range(3, 9)]
+        pred = tmp_path / "p.jsonl"
+        pred.write_text("".join(line + "\n" for line in lines) + "{not json\n")
+        for n in (2, 3):
+            shards = _shard_lines(pred, n, monkeypatch)
+            assert 1 in shards[0] and 8 in shards[-1]
         for n in (1, 2, 3):
-            code, _, err, _ = sharded(n, "evaluate", "--predictions", GOLDEN_PRED,
-                                      "--gold", gold)
-            assert code == 2 and sharded.forks == []
-            assert err == f"data error: {gold}: record 0: gold record 'q1' has no answers\n"
+            code, _, err, _ = sharded(n, "evaluate", "--predictions", pred, "--gold", gold)
+            assert err == f"data error: {gold}: record 1: gold record 'q2' has no answers\n"
+            assert code == 2 and len(sharded.forks) == (n if n > 1 else 0)
+
+    def test_a_worker_with_the_ids_scores_no_record_the_gold_lacks(
+        self, sharded, tmp_path, monkeypatch, ids_at_the_first_frame, scored_ids
+    ):
+        ids = [f"q{i:03d}" for i in range(400)]
+        pred = tmp_path / "p.jsonl"
+        pred.write_text("".join(_line(q) + "\n" for q in ids))
+        gold = tmp_path / "g.json"
+        kept = ids[::10]
+        gold.write_text(_gold_of(kept))
+        argv = ["score", "--predictions", pred, "--gold", gold, "--out", tmp_path / "out"]
+        serial = sharded(1, *argv)
+        assert scored_ids() == kept
+        for n in (2, 3):
+            assert sharded(n, *argv) == serial
+            scored = scored_ids()
+            # a worker scores every record of its first frame, then only the gold's
+            first_frames = {ids[line - 1] for shard in _shard_lines(pred, n, monkeypatch)
+                            for line in shard[:_shards._BATCH]}
+            assert len(scored) == len(set(scored))
+            assert set(scored) == set(kept) | first_frames
 
 
 class TestWorkerFailure:
@@ -288,7 +453,8 @@ class TestWorkerFailure:
         out = tmp_path / "out"
         code, stdout, err, written = sharded(2, "score", "--predictions", pred, "--out", out)
         assert (code, stdout, written) == (2, "", {})
-        assert err == f"io error: {pred}: lines 4-6: scoring worker {how}\n"
+        # every worker dies; the first one's lines are reported
+        assert err == f"io error: {pred}: lines 1-3: scoring worker {how}\n"
         assert list(tmp_path.iterdir()) == [pred]
 
     def test_a_failed_fork_runs_serially(self, sharded, tmp_path, monkeypatch):
@@ -309,19 +475,51 @@ class TestWorkerFailure:
         assert written == {str(out): (DATA_DIR / "golden_score.jsonl").read_bytes()}
 
     def test_workers_are_stopped_when_the_parent_fails(self, sharded, tmp_path):
-        # line 1 fails in the parent's shard while the workers still run
+        # line 1 fails in the first worker's shard while the others still run
         pred = tmp_path / "p.jsonl"
         pred.write_text("{not json\n" + "".join(_line(f"q{i}") + "\n" for i in range(8)))
         code, _, err, _ = sharded(3, "score", "--predictions", pred)
         assert code == 2 and err.startswith(f"data error: {pred}: line 1: invalid JSON")
-        assert len(sharded.forks) == 2
+        assert len(sharded.forks) == 3
 
     def test_a_failed_write_leaves_no_worker(self, sharded, tmp_path):
         out = tmp_path / "nodir" / "x.md"
         code, _, err, _ = sharded(2, "evaluate", "--predictions", GOLDEN_PRED,
                                   "--gold", GOLDEN_GOLD, "--out", out)
-        assert code == 2 and len(sharded.forks) == 1
+        assert code == 2 and len(sharded.forks) == 2
         assert err == f"io error: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_a_worker_writing_frames_is_sent_no_ids(self, tmp_path):
+        # The gold read waits until the workers write frames: their frames and the
+        # gold ids each overfill a pipe. A worker closes its ids pipe before its
+        # frames, so the parent's ids fail at once rather than wait on it.
+        ids = [f"q{i:05d}" for i in range(12000)]
+        pred = tmp_path / "p.jsonl"
+        pred.write_text("".join(_line(q) + "\n" for q in ids[:6000]))
+        gold = tmp_path / "g.json"
+        gold.write_text(_gold_of(ids))
+        script = (
+            "import os, select, sys\n"
+            "import selqa.cli as cli\n"
+            "from selqa import _shards, io\n"
+            "cli._SHARD_MIN_BYTES = 1\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "workers = []\n"
+            "fork_workers, load_gold_index = _shards.fork_workers, io.load_gold_index\n"
+            "_shards.fork_workers = lambda *args: workers.extend(fork_workers(*args)) or workers\n"
+            "def held(path):\n"
+            "    for worker in workers:\n"
+            "        select.select([worker.pipe], [], [])\n"
+            "    return load_gold_index(path)\n"
+            "io.load_gold_index = held\n"
+            f"sys.exit(cli.main(['evaluate', '--predictions', {str(pred)!r}, '--gold', "
+            f"{str(gold)!r}, '--methods', 'likelihood', '--format', 'json']))\n"
+        )
+        proc = run_python(["-c", script], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "join: matched 6000; 6000 gold unmatched (%s)\n" % ", ".join(
+            ids[6000:6010])
+        assert json.loads(proc.stdout)["n_total"] == 6000
 
     def test_workers_neither_flush_stdio_nor_run_atexit(self, tmp_path):
         # and frames travel without pickle, which the run never imports
@@ -378,7 +576,7 @@ class TestServesSerially:
         assert code == 0 and sharded.forks == []
         monkeypatch.setattr(cli, "_SHARD_MIN_BYTES", size // 2)
         code, _, _, _ = sharded(2, "score", "--predictions", GOLDEN_PRED)
-        assert code == 0 and len(sharded.forks) == 1
+        assert code == 0 and len(sharded.forks) == 2
 
     def test_while_another_thread_runs(self, sharded):
         release = threading.Event()
