@@ -5,25 +5,28 @@ hands over its scoring step; this module forks one worker per shard before
 the parent reads the gold file, so the gold file is read while the workers
 score. Only the sharded path imports it.
 
+Both pipes of a worker carry one framing: each message is a marshal dump
+behind its 8-byte length (_framed), and an empty message is the end
+marker; _read reads one back. marshal is built in and already loaded,
+where importing pickle alone would add about 0.4 MiB to the parent's peak.
+
 A worker runs the step over its byte range. Until the gold ids arrive it
 scores every record. Once its gold index is built, the parent sends the ids
-down a second pipe per worker (send_ids), _IDS_CHUNK ids at a time, each
-chunk a marshal dump behind an 8-byte length, then a zero length. The
-worker looks for them between frames without waiting, reads them all once
-they have begun to arrive, and from then on skips any record whose id the
-gold lacks, as a serial run does. A record that fails to score carries its
-error on its item and the worker goes on, since the join drops the error
-with the record if the gold lacks it. Only a line that does not parse, or a
-failed read, ends a worker, and its last frame carries that error.
+down a second pipe per worker (send_ids), _IDS_CHUNK ids a message, then
+the end marker. The worker looks for them between frames without waiting,
+reads them all once they have begun to arrive, and from then on skips any
+record whose id the gold lacks, as a serial run does. A record that fails
+to score carries its error on its item and the worker goes on, since the
+join drops the error with the record if the gold lacks it. Only a line that
+does not parse, or a failed read, ends a worker, and its last frame carries
+that error.
 
-The worker encodes its items in frames of _BATCH items through
-selqa._columns, each one marshal dump (marshal is built in and already
-loaded, where importing pickle alone would add about 0.4 MiB to the
-parent's peak). After its last line it closes its end of the ids pipe, so
-the parent never waits to write ids to a worker that is writing frames, and
-writes the frames to its frame pipe, each behind an 8-byte length, then a
-zero length as its end marker. It leaves through os._exit, so it never
-flushes inherited stdio or runs atexit handlers.
+A frame holds _BATCH items as plain tuples (_encode): each item's id, line,
+result and error, then the error that ended the worker, if any. After its
+last line the worker closes its end of the ids pipe, so the parent never
+waits to write ids to a worker that is writing frames, and writes its
+frames to its frame pipe, then the end marker. It leaves through os._exit,
+so it never flushes inherited stdio or runs atexit handlers.
 
 The parent reads one frame at a time, worker by worker, and decodes it back
 to the step's own items, so the join and the loop take them as they take a
@@ -39,21 +42,24 @@ import os
 import signal
 from contextlib import suppress
 from itertools import islice
-from typing import Callable, Container, Iterable, Iterator, NoReturn, Sequence
+from typing import BinaryIO, Callable, Container, Iterable, Iterator, NoReturn, Sequence
 
 from . import io as selqa_io
-from ._columns import Scored, decode_frame, encode_frame
-from .errors import DataError
+from ._columns import Scored
+from .errors import AdapterError, DataError
 from .records import PredictionRecord
 
 #: Items a worker encodes into one frame.
 _BATCH = 64
 #: Gold ids the parent sends in one chunk.
 _IDS_CHUNK = 1024
-#: Bytes of a frame's or an ids chunk's length prefix.
+#: Bytes of a message's length prefix.
 _HEADER = 8
 #: Bytes read at a time when counting newlines.
 _CHUNK = 1 << 20
+
+#: The errors a frame carries, by index: the classes main() maps to exit codes.
+_KINDS = (DataError, AdapterError, OSError)
 
 #: The CLI's scoring step: records to their items, in order. A record whose
 #: id the container lacks is passed on unscored; None scores every record.
@@ -77,16 +83,9 @@ class Worker:
         self.ids_fd: int | None = ids_fd
 
     def __iter__(self) -> Iterator[Scored]:
-        while True:
-            header = self.pipe.read(_HEADER)
-            size = int.from_bytes(header, "little")
-            frame = self.pipe.read(size) if size else b""
-            if len(header) < _HEADER or len(frame) < size:
-                raise self._reaped(ended=False)
-            if not size:
-                break
-            yield from decode_frame(frame)
-        failure = self._reaped(ended=True)
+        while frame := _read(self.pipe):
+            yield from _decode(frame)
+        failure = self._reaped(ended=frame is not None)
         if failure is not None:
             raise failure
 
@@ -172,7 +171,7 @@ def fork_workers(path: str, cuts: Sequence[int], step: Step, samples: bool) -> l
 def send_ids(workers: Sequence[Worker], ids: Iterable[str] | None) -> None:
     """Send the gold ids to every worker, then the end marker, and close the ids pipes.
 
-    Each chunk is encoded once and written to every worker still reading.
+    Each chunk is framed once and written to every worker still reading.
     None, for a run without gold, only closes the pipes, and the workers go
     on scoring every record.
     """
@@ -180,9 +179,9 @@ def send_ids(workers: Sequence[Worker], ids: Iterable[str] | None) -> None:
         remaining = iter(ids)
         while True:
             chunk = list(islice(remaining, _IDS_CHUNK))
-            data = marshal.dumps(chunk) if chunk else b""
+            data = _framed(marshal.dumps(chunk) if chunk else b"")
             for worker in workers:
-                worker.send(len(data).to_bytes(_HEADER, "little") + data)
+                worker.send(data)
             if not chunk:
                 break
     for worker in workers:
@@ -218,16 +217,10 @@ class _GoldIds:
         if not select.select([self.pipe], [], [], timeout)[0]:
             return
         ids: set[str] = set()
-        while True:
-            header = self.pipe.read(_HEADER)
-            size = int.from_bytes(header, "little")
-            data = self.pipe.read(size) if size else b""
-            if len(header) < _HEADER or len(data) < size:
-                break
-            if not size:
-                self.ids = ids
-                break
-            ids.update(marshal.loads(data))
+        while chunk := _read(self.pipe):
+            ids.update(marshal.loads(chunk))
+        if chunk is not None:
+            self.ids = ids
         self.pipe.close()
 
 
@@ -248,9 +241,8 @@ def _work(
         ids.pipe.close()  # from here on the parent's writes of ids fail at once
         with open(fd, "wb") as out:
             for frame in frames:
-                out.write(len(frame).to_bytes(_HEADER, "little"))
-                out.write(frame)
-            out.write(bytes(_HEADER))
+                out.write(_framed(frame))
+            out.write(_framed(b""))
         status = 0
     finally:
         os._exit(status)
@@ -259,7 +251,7 @@ def _work(
 def _frames(
     path: str, start: int, end: int, step: Step, samples: bool, ids: _GoldIds
 ) -> list[bytes]:
-    """The shard's items, encoded in frames; the last frame may end in a parse or read error."""
+    """The shard's items in frames; the last frame may end in a parse or read error."""
     frames: list[bytes] = []
     items: list[Scored] = []
     error = None
@@ -268,15 +260,57 @@ def _frames(
         for item in step(records, ids):
             items.append(item)
             if len(items) == _BATCH:
-                frames.append(encode_frame(items))
+                frames.append(_encode(items))
                 items = []
                 ids.poll()
     except (DataError, OSError) as exc:  # a line that does not parse, or a failed read
         error = exc
     finally:
         records.close()
-    frames.append(encode_frame(items, error))
+    frames.append(_encode(items, error))
     return frames
+
+
+def _encode(items: Sequence[Scored], error: Exception | None = None) -> bytes:
+    """items as one frame; error, if given, follows the last item."""
+    return marshal.dumps((
+        [(item.question_id, item.line, item.result,
+          None if item.error is None else _encoded(item.error)) for item in items],
+        None if error is None else _encoded(error),
+    ))
+
+
+def _decode(frame: bytes) -> Iterator[Scored]:
+    """The items of an _encode frame; an error that follows them is raised after them."""
+    items, failure = marshal.loads(frame)
+    for question_id, line, result, error in items:
+        yield Scored(question_id, line, result, None if error is None else _decoded(error))
+    if failure is not None:
+        raise _decoded(failure)
+
+
+def _encoded(error: Exception) -> tuple[int, str]:
+    """error as a frame carries it: the index in _KINDS of its class, and its message."""
+    return next(i for i, kind in enumerate(_KINDS) if isinstance(error, kind)), str(error)
+
+
+def _decoded(failure: tuple[int, str]) -> Exception:
+    """The error a frame's (kind, message) pair stands for, as the parent raises it."""
+    kind, message = failure
+    return _KINDS[kind](message)
+
+
+def _framed(data: bytes) -> bytes:
+    """data behind its 8-byte length, as both pipes carry it; empty data is the end marker."""
+    return len(data).to_bytes(_HEADER, "little") + data
+
+
+def _read(pipe: BinaryIO) -> bytes | None:
+    """The next _framed data from pipe: b"" at the end marker, None if the pipe ends first."""
+    header = pipe.read(_HEADER)
+    size = int.from_bytes(header, "little")
+    data = pipe.read(size)
+    return data if len(header) == _HEADER and len(data) == size else None
 
 
 def line_at(path: str, offset: int) -> int:

@@ -36,15 +36,18 @@ verdict is never decided), and the duplicate is reported even when the
 line cannot be scored. The join
 summary is printed once the last line is read. Outputs are written only
 after that, all or none (each staged under its own name in a temp
-directory beside its target, then all renamed), and are byte-identical
-across runs.
+directory beside its target, through any symlink, then all renamed; a
+FIFO or device target is written after the renames, as stdout is), and are
+byte-identical across runs.
 
 With more than one CPU, a dump that is a regular file of at least two
 shards' minimum bytes is cut at line starts, and one forked worker per
 shard (selqa._shards) runs the loop's scoring step before the gold file is
 read, so the process reads the gold file while the workers score. Each
 worker gets the gold ids once the index is built, and from then on skips
-the records the gold lacks. Their items join the loop in file order, so
+the records the gold lacks. The ids and the items travel in one framing,
+each message one marshal dump behind its length, the items as plain
+tuples 64 to a frame. The items join the loop in file order, so
 the gold error, the join summary, the first error, the outputs and the
 exit code are those of a serial run. A run stays serial, and reads the
 gold file first, with an adapter, on a pipe or FIFO, on a small dump and
@@ -227,17 +230,20 @@ def _write_outputs(
 ) -> None:
     """Write every output, or none: each staged under its own name, then all renamed.
 
-    An output without a path goes to stdout once the files are in place.
-    Each file is staged under its target's name in a temp directory beside
-    the target, so a name the file system cannot take fails before anything
-    is renamed, as does a target that is a directory. new_dir, if given, is
-    made first, with its parents; if a write fails, the directories this
-    run made are removed again. An error names the requested path, never a
-    temp one, and leaves nothing behind.
+    A symlinked path is followed to its target. Each file is staged under
+    its target's name in a temp directory beside the target, so a name the
+    file system cannot take fails before anything is renamed, as does a
+    target that is a directory. new_dir, if given, is made first, with its
+    parents; if a write fails, the directories this run made are removed
+    again. An error names the requested path, never a temp one, and leaves
+    nothing behind. Once the files are in place, an output without a path
+    goes to stdout, and one whose target is neither a file nor a directory
+    (a FIFO or a device) is written to it, in order.
     """
     made: list[str] = []
     stages: dict[str, str] = {}  # target directory -> its temp directory
-    staged: list[tuple[str, str]] = []
+    staged: list[tuple[str, str, str]] = []  # (temp file, target, requested path)
+    streams: set[str] = set()  # the requested paths written as stdout is
     try:
         if new_dir is not None:
             made = _missing_dirs(new_dir)
@@ -245,30 +251,34 @@ def _write_outputs(
         for data, out in outputs:
             if out is None:
                 continue
-            directory, name = os.path.split(os.path.abspath(out))
+            target = os.path.realpath(out)
+            if _is_stream(target):
+                streams.add(out)
+                continue
+            directory, name = os.path.split(target)
             try:
                 if directory not in stages:
                     stages[directory] = tempfile.mkdtemp(prefix=".selqa-", dir=directory)
                 tmp = os.path.join(stages[directory], name)
                 with open(tmp, "xb") as f:
-                    staged.append((tmp, out))
+                    staged.append((tmp, target, out))
                     f.write(data)
             except OSError as exc:
                 raise _naming(exc, out) from exc
         # Refused as its rename would refuse it, but before any rename.
-        for _, out in reversed(staged):
-            if os.path.isdir(out) and not os.path.islink(out):
+        for _, target, out in reversed(staged):
+            if os.path.isdir(target):
                 raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out)
         while staged:
-            tmp, out = staged[-1]
+            tmp, target, out = staged[-1]
             try:
-                os.replace(tmp, out)
+                os.replace(tmp, target)
             except OSError as exc:
                 raise _naming(exc, out) from exc
             staged.pop()
         made = []
     finally:
-        for tmp, _ in staged:
+        for tmp, _, _ in staged:
             os.unlink(tmp)
         for stage in stages.values():
             os.rmdir(stage)
@@ -280,6 +290,21 @@ def _write_outputs(
             # the bytes as they are, whatever the encoding of the text stream
             sys.stdout.flush()
             sys.stdout.buffer.write(data)
+        elif out in streams:
+            try:
+                with open(out, "wb") as f:
+                    f.write(data)
+            except OSError as exc:
+                raise _naming(exc, out) from exc
+
+
+def _is_stream(path: str) -> bool:
+    """Whether path names a node that is neither a regular file nor a directory."""
+    try:
+        mode = os.stat(path).st_mode
+    except OSError:
+        return False  # missing, or staging reports it
+    return not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))
 
 
 def _missing_dirs(path: str) -> list[str]:

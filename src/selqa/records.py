@@ -93,7 +93,7 @@ class ScoredPrediction:
 
 
 def check_scored(triggered: bool, scores: Mapping[str, float], correct: Mapping[str, bool]) -> None:
-    """ScoredPrediction's checks, which scoring.score_verdicts makes without building one.
+    """ScoredPrediction's checks, which scoring.score_checked makes without building one.
 
     Every score is finite and in [0, 1], and an abstained record has no verdicts.
     """

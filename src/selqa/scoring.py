@@ -184,7 +184,12 @@ def score_all(
         )
     if classifiers is None:
         classifiers = (CorrectnessClassifier.exact_match(),)
-    triggered, scores, correct = score_verdicts(record, gold_entry(gold), methods, fn, classifiers)
+    triggered, scores = score_checked(record, methods, fn)  # checked before any verdict
+    correct: dict[str, bool] = {}
+    if triggered:
+        prediction, entry = normalize_answer(record.greedy.text), gold_entry(gold)
+        for clf in classifiers:
+            correct[clf.name] = clf._verdict(prediction, entry)
     return ScoredPrediction(record.question_id, triggered, scores, correct, gold.answerable)
 
 
@@ -197,24 +202,3 @@ def score_checked(
     check_scored(triggered, scores, {})
     return triggered, scores
 
-
-def score_verdicts(
-    record: PredictionRecord,
-    gold: str,
-    methods: Iterable[str],
-    fn: SimilarityFn | None,
-    classifiers: Sequence[CorrectnessClassifier],
-) -> tuple[bool, dict[str, float], dict[str, bool]]:
-    """A record's trigger decision, scores and verdicts, without a ScoredPrediction.
-
-    gold is the record's gold index entry (selqa.io.pack_gold). Abstained
-    records get scores but no verdicts. The result passes the checks a
-    ScoredPrediction makes (records.check_scored), with its messages.
-    """
-    triggered, scores = score_checked(record, methods, fn)
-    correct: dict[str, bool] = {}
-    if triggered:
-        prediction = normalize_answer(record.greedy.text)
-        for clf in classifiers:
-            correct[clf.name] = clf._verdict(prediction, gold)
-    return triggered, scores, correct

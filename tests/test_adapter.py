@@ -8,11 +8,13 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import pytest
 
 import selqa.adapter
-from selqa import AdapterError, CorrectnessClassifier, PredictionRecord, answer_similarity
+from selqa import (
+    AdapterError, CorrectnessClassifier, GoldAnnotation, GoldRecord, PredictionRecord,
+    answer_similarity,
+)
 from selqa.adapter import ExternalSimilarity
 from selqa.cli import main
-from selqa.io import pack_gold
-from selqa.scoring import score_verdicts
+from selqa.scoring import score_all
 
 from conftest import ADAPTER_SCRIPT, DATA_DIR, adapter_cmd, ans, logged_requests, run_python
 
@@ -214,12 +216,13 @@ class TestRecordExchanges:
         samples = tuple(ans(t, math.log(0.2)) for t in ["Red apple", "apple", "unanswerable"])
         record = PredictionRecord("q", ans("red apple", -0.1), samples)
         golds = ("apple", "red car", "unanswerable", "red apple")
+        gold = GoldRecord("q", [GoldAnnotation(a) for a in golds])
         with ExternalSimilarity(adapter_cmd("jaccard", log), name="jaccard") as fn:
             exchanges = []
             send = fn._exchange
             fn._exchange = lambda pairs: exchanges.append(pairs) or send(pairs)
             clf = CorrectnessClassifier.adapter_threshold(fn, 0.9)
-            _, _, correct = score_verdicts(record, pack_gold(golds, True), ["avg-bleu"], fn, (clf,))
+            correct = score_all(record, gold, ["avg-bleu"], fn, (clf,)).correct
         proper = ["red apple", "apple"]
         assert exchanges == [
             [(a, b) for a in proper for b in proper],  # the avg-similarity square

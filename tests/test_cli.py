@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import stat
 import tempfile
 import threading
 import tracemalloc
@@ -259,6 +260,37 @@ class TestEvaluate:
         assert run("score", "--predictions", GOLDEN_PRED, "--out", str(out)) == 2
         assert capsys.readouterr().err == f"io error: [Errno 36] File name too long: '{out}'\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_named_pipe_target_is_written_not_replaced(self, tmp_path):
+        fifo = tmp_path / "report.md"
+        os.mkfifo(fifo)
+        # opened first and without blocking, so the run's open for writing does not wait
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code = run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
+                       "--out", str(fifo))
+            data = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert code == 0
+        assert data == (DATA_DIR / "golden_report.md").read_bytes()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_symlink_target_is_followed(self, tmp_path):
+        # staged beside the link's target, in another directory, and renamed over it
+        (tmp_path / "links").mkdir()
+        (tmp_path / "reports").mkdir()
+        link, target = tmp_path / "links" / "report.md", tmp_path / "reports" / "r.md"
+        target.write_bytes(b"an older report\n")
+        link.symlink_to(target)
+        assert run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
+                   "--out", str(link)) == 0
+        assert link.is_symlink() and link.resolve() == target
+        assert target.read_bytes() == (DATA_DIR / "golden_report.md").read_bytes()
+        assert sorted(tmp_path.rglob("*")) == [tmp_path / "links", link,
+                                               tmp_path / "reports", target]
 
     @pytest.mark.parametrize("subcommand", ["evaluate", "score", "sweep"])
     def test_io_error_names_the_requested_path(self, tmp_path, capsys, subcommand):

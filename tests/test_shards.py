@@ -11,15 +11,19 @@ import json
 import os
 import select
 import signal
+import struct
 import threading
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import selqa.cli as cli
-from selqa import _shards, scoring
+from selqa import AdapterError, DataError, _shards, scoring
 from selqa import io as selqa_io
+from selqa._columns import Scored
 
 from conftest import DATA_DIR, adapter_cmd, run_python
 
@@ -589,3 +593,61 @@ class TestServesSerially:
             thread.join(timeout=30)
         assert not thread.is_alive()
         assert code == 0 and sharded.forks == []
+
+
+_ERRORS = st.builds(lambda kind, message: kind(message), st.sampled_from(_shards._KINDS),
+                    st.text())
+_SCORES = st.lists(st.sampled_from([0.0, 5e-324, 1.0]) | st.floats(0.0, 1.0), max_size=4)
+_ITEMS = st.lists(st.builds(
+    Scored, st.text(), st.integers(1, 2**62),
+    st.none() | st.tuples(st.booleans(), st.none() | st.text(), _SCORES),
+    st.none() | _ERRORS,
+), max_size=8)
+
+
+def _exact(item: Scored):
+    """item with its scores as their bytes and its error as (class, message)."""
+    result = item.result
+    if result is not None:
+        triggered, text, scores = result
+        result = (type(triggered), triggered, text, struct.pack(f"<{len(scores)}d", *scores))
+    error = None if item.error is None else (type(item.error), str(item.error))
+    return item.question_id, item.line, result, error
+
+
+class TestWireFormat:
+    """A frame gives back its items, and a pipe that ends early reads as None."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(items=_ITEMS, error=st.none() | _ERRORS)
+    @example(items=[], error=None)
+    @example(items=[Scored("q", 1, None, AdapterError("scorer died"))],
+             error=OSError("read failed"))
+    @example(items=[Scored("q", 1, (True, None, [0.0, 5e-324, 1.0]), None),
+                    Scored("r", 2, None, None), Scored("s", 3, None, DataError("bad"))],
+             error=DataError("line 4 does not parse"))
+    def test_a_frame_gives_back_its_items(self, items, error):
+        decoded = []
+        frames = _shards._decode(_shards._encode(items, error))
+        if error is None:
+            decoded += frames
+        else:
+            with pytest.raises(type(error)) as raised:
+                decoded += frames  # the error follows the last item
+            assert (type(raised.value), str(raised.value)) == (type(error), str(error))
+        assert [_exact(item) for item in decoded] == [_exact(item) for item in items]
+
+    def test_read_gives_each_data_then_the_end_marker(self):
+        read, write = os.pipe()
+        os.write(write, _shards._framed(b"one") + _shards._framed(b"") + _shards._framed(b"x"))
+        os.close(write)
+        with open(read, "rb") as pipe:
+            assert [_shards._read(pipe) for _ in range(4)] == [b"one", b"", b"x", None]
+
+    @pytest.mark.parametrize("cut", [3, 8 + 2], ids=["in-header", "in-payload"])
+    def test_read_of_a_pipe_that_ends_early_is_none(self, cut):
+        read, write = os.pipe()
+        os.write(write, _shards._framed(b"payload")[:cut])
+        os.close(write)
+        with open(read, "rb") as pipe:
+            assert _shards._read(pipe) is None
