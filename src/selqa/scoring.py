@@ -15,7 +15,10 @@ The sampling scores read one grouping of a record's samples by normalized
 text; score_record builds it once per record, at its first sampling method.
 avg-bleu scores a record's distinct answers against each other with one
 similarity.answer_similarities call, which applies the abstention override,
-makes one score_matrix call and checks every returned score.
+makes one score_matrix call and checks every returned score in one pass.
+Built-in BLEU scores only the pairs of answers that share a token (any
+other pair is 0.0) and sets each answer's diagonal cell to 1.0, or 0.0
+when it has no token.
 """
 
 from __future__ import annotations

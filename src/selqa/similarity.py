@@ -6,10 +6,19 @@ functions score a (candidate, reference) pair of normalized answers into
 [0, 1]. ``SimilarityFn.score_matrix`` scores candidates against references
 in one call, the seam a batching scorer overrides. ``answer_similarities``,
 the one checked entry point, applies the abstention override and checks
-what score_matrix returns. The built-in scorer is smoothed sentence BLEU
-from per-answer n-gram tables, built once per answer per call, with no
-cache between calls. External model-backed scorers plug in through
-:mod:`selqa.adapter` and are held to the same output contract.
+what score_matrix returns: its shape, then every score in one pass that
+accepts only floats in [0, 1]. A matrix that fails that pass goes through
+the full per-score rule, which also accepts ints and names the first bad
+score.
+
+The built-in scorer is smoothed sentence BLEU. Its score_matrix scores
+only the pairs of answers that share a token, found by testing their
+token sets; any other pair has no unigram overlap, so it is 0.0 both
+ways. Only those pairs' answers get n-gram tables, built once per answer
+per call, and in a square the diagonal is 1.0, or 0.0 for an answer with
+no token, without scoring. Nothing is kept between calls. External
+model-backed scorers plug in through :mod:`selqa.adapter` and are held to
+the same output contract.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from collections import Counter
+from itertools import chain
 from typing import Sequence
 
 from .errors import AdapterError
@@ -142,19 +152,37 @@ class BleuSimilarity(SimilarityFn):
     def score_matrix(
         self, candidates: Sequence[str], references: Sequence[str]
     ) -> list[list[float]]:
-        cands = [_ngram_table(tokenize(answer, self.mode)) for answer in candidates]
+        # A pair that shares no token has no unigram overlap, so its BLEU is
+        # 0.0 both ways: only the pairs that share one are scored, and only
+        # their answers get n-gram tables, one per answer per call.
+        cands = [tokenize(answer, self.mode) for answer in candidates]
+        cand_sets = [set(tokens) for tokens in cands]
         if candidates != references:
-            refs = [_ngram_table(tokenize(answer, self.mode)) for answer in references]
-            return [[_bleu(a[0], b[0], _overlaps(a, b)) for b in refs] for a in cands]
-        # A square: each unordered pair's overlaps are counted once and serve
-        # both of its directions.
+            refs = [tokenize(answer, self.mode) for answer in references]
+            ref_sets = [set(tokens) for tokens in refs]
+            pairs = [(i, j) for i, a in enumerate(cand_sets)
+                     for j, b in enumerate(ref_sets) if not a.isdisjoint(b)]
+            rows = {i: _ngram_table(cands[i]) for i in {i for i, _ in pairs}}
+            columns = {j: _ngram_table(refs[j]) for j in {j for _, j in pairs}}
+            matrix = [[0.0] * len(refs) for _ in cands]
+            for i, j in pairs:
+                a, b = rows[i], columns[j]
+                matrix[i][j] = _bleu(a[0], b[0], _overlaps(a, b))
+            return matrix
+        # A square: an answer scores 1.0 against itself when it has a token,
+        # and each unordered pair's overlaps serve both of its directions.
+        pairs = [(i, j) for i, a in enumerate(cand_sets)
+                 for j in range(i) if not a.isdisjoint(cand_sets[j])]
+        tables = {k: _ngram_table(cands[k]) for k in set(chain.from_iterable(pairs))}
         matrix = [[0.0] * len(cands) for _ in cands]
-        for i, a in enumerate(cands):
-            for j in range(i, len(cands)):
-                b = cands[j]
-                overlaps = _overlaps(a, b)
-                matrix[i][j] = _bleu(a[0], b[0], overlaps)
-                matrix[j][i] = _bleu(b[0], a[0], overlaps)
+        for i, tokens in enumerate(cands):
+            if tokens:
+                matrix[i][i] = 1.0
+        for i, j in pairs:
+            a, b = tables[i], tables[j]
+            overlaps = _overlaps(a, b)
+            matrix[i][j] = _bleu(a[0], b[0], overlaps)
+            matrix[j][i] = _bleu(b[0], a[0], overlaps)
         return matrix
 
 
@@ -179,14 +207,17 @@ def answer_similarities(
     proper_refs = [b for b, flag in zip(references, ref_abstains) if not flag]
     raw = fn.score_matrix(proper_cands, proper_refs)
     m, n = len(proper_cands), len(proper_refs)
-    if len(raw) != m or any(len(row) != n for row in raw):
+    try:
+        shaped = len(raw) == m and all(len(row) == n for row in raw)
+    except TypeError:  # None, a number, a generator, or such a row
+        shaped = False
+    if not shaped:
         raise AdapterError(f"similarity {fn.name!r} score_matrix result is not {m} x {n}")
-    for row in raw:
-        for score in row:
-            if (type(score) is bool or not isinstance(score, (float, int))
-                    or not 0.0 <= score <= 1.0):
-                raise AdapterError(f"similarity {fn.name!r} returned {score!r}, "
-                                   "outside the [0, 1] contract")
+    if _unit_floats(raw):
+        if m == len(candidates) and n == len(references):
+            return raw
+    else:
+        _check_scores(raw, fn.name)
     rows = iter(raw)
     matrix = []
     for flag in cand_abstains:
@@ -194,3 +225,26 @@ def answer_similarities(
         matrix.append([float(flag) if other else 0.0 if flag else next(scores)
                        for other in ref_abstains])
     return matrix
+
+
+def _unit_floats(raw: Sequence[Sequence[object]]) -> bool:
+    """Whether every score is a float in [0, 1], in one pass over the matrix.
+
+    The exact type test turns away bool, int and float subclasses alike, and
+    NaN fails the range test.
+    """
+    for row in raw:
+        for score in row:
+            if type(score) is not float or not 0.0 <= score <= 1.0:
+                return False
+    return True
+
+
+def _check_scores(raw: Sequence[Sequence[object]], name: str) -> None:
+    """Name the first score, row-major, that is not a real in [0, 1], bool excluded."""
+    for row in raw:
+        for score in row:
+            if (type(score) is bool or not isinstance(score, (float, int))
+                    or not 0.0 <= score <= 1.0):
+                raise AdapterError(f"similarity {name!r} returned {score!r}, "
+                                   "outside the [0, 1] contract")

@@ -1,10 +1,11 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selqa import AdapterError, BleuSimilarity, SimilarityFn, answer_similarity, bleu
+from selqa import similarity
 from selqa.similarity import answer_similarities
 from selqa.textnorm import normalize_answer
 
@@ -97,6 +98,59 @@ class TestBleuOracle:
         expected = [[brute_bleu(_oracle_tokens(a, mode), _oracle_tokens(b, mode))
                      for b in references] for a in candidates]
         assert BleuSimilarity(mode).score_matrix(candidates, references) == expected
+
+    @pytest.mark.parametrize("mode", ["word", "char"])
+    @pytest.mark.parametrize("answers", [
+        ["no", "yes", "no", "no no"],  # duplicates
+        ["red apple", "", "apple", ""],  # empty answers
+        ["no no no", "la la land", "no la", "abab abab"],  # repeated tokens: Counter tables
+        ["red", "cat", "dog on"],  # no shared word
+        ["xy", "zw", "q"],  # no shared word or character
+    ])
+    def test_square_and_rectangle_cases(self, mode, answers):
+        tokens = [_oracle_tokens(answer, mode) for answer in answers]
+        fn = BleuSimilarity(mode)
+        square = fn.score_matrix(answers, answers)
+        assert square == [[brute_bleu(a, b) for b in tokens] for a in tokens]
+        for i, t in enumerate(tokens):
+            assert square[i][i] == bleu(t, t) == (1.0 if t else 0.0)
+            for j, u in enumerate(tokens):
+                if not set(t) & set(u):
+                    assert square[i][j] == square[j][i] == 0.0
+        # every rectangle cut from the list agrees with the square's cells
+        for k in range(len(answers) + 1):
+            rows, columns = answers[:k], answers[k:]
+            assert fn.score_matrix(rows, columns) == [
+                square_row[k:] for square_row in square[:k]
+            ]
+
+    @pytest.mark.parametrize("mode", ["word", "char"])
+    @given(answers=st.lists(_oracle_answers, min_size=1, max_size=5), data=st.data())
+    def test_square_with_duplicates(self, mode, answers, data):
+        answers = answers + data.draw(st.lists(st.sampled_from(answers), max_size=3))
+        tokens = [_oracle_tokens(answer, mode) for answer in answers]
+        square = BleuSimilarity(mode).score_matrix(answers, answers)
+        assert square == [[brute_bleu(a, b) for b in tokens] for a in tokens]
+        assert [square[i][i] for i in range(len(tokens))] == [bleu(t, t) for t in tokens]
+
+    @pytest.mark.parametrize("mode", ["word", "char"])
+    @given(answers=st.lists(_oracle_answers, max_size=6))
+    def test_square_overlaps_each_sharing_pair_once(self, mode, answers):
+        calls = []
+        overlaps = similarity._overlaps
+
+        def counting(a, b):
+            calls.append((a, b))
+            return overlaps(a, b)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(similarity, "_overlaps", counting)
+            BleuSimilarity(mode).score_matrix(answers, answers)
+        tokens = [set(_oracle_tokens(answer, mode)) for answer in answers]
+        sharing = sum(1 for i in range(len(tokens)) for j in range(i)
+                      if tokens[i] & tokens[j])
+        assert len(calls) == sharing
+        assert not any(a is b for a, b in calls)  # no diagonal
 
 
 class CountingSimilarity(SimilarityFn):
@@ -206,6 +260,18 @@ class FixedMatrix(SimilarityFn):
         return self.matrix
 
 
+#: One score of each kind the range check must tell apart; only "int" is valid.
+_SCORE_KINDS = {
+    "bool": True, "str": "0.5", "none": None, "nan": math.nan, "inf": math.inf,
+    "-inf": -math.inf, "negative": -0.1, "above-one": 1.5, "huge-int": 10**400, "int": 1,
+}
+
+
+def _valid_score(score):
+    """The per-score rule, written out: a real in [0, 1], bool excluded."""
+    return type(score) in (int, float) and 0 <= score <= 1
+
+
 class TestAnswerSimilarities:
     def test_abstentions_scored_without_the_function(self):
         candidates = ["red apple", "unanswerable", "cat"]
@@ -246,6 +312,11 @@ class TestAnswerSimilarities:
         [[0.5, 0.5, 0.5], [0.5, 0.5]],  # a row too short
         [[0.5, 0.5]] * 3,  # transposed
         [[0.5, 0.5, 0.5]] * 3,  # the square of all three candidates
+        None,
+        2,
+        [[0.5, 0.5, 0.5], None],
+        [[0.5, 0.5, 0.5], (x for x in [0.5, 0.5, 0.5])],
+        (row for row in [[0.5, 0.5, 0.5]] * 2),
     ])
     def test_shape_is_checked(self, matrix):
         # two proper candidates against three proper references
@@ -256,6 +327,36 @@ class TestAnswerSimilarities:
     def test_range_is_checked(self, score):
         with pytest.raises(AdapterError, match=r"\[0, 1\] contract"):
             answer_similarities(["a"], ["b", "c"], FixedMatrix([[0.5, score]]))
+
+    @pytest.mark.parametrize("fault", sorted(_SCORE_KINDS))
+    @settings(max_examples=20, deadline=None)
+    @given(matrix=st.integers(1, 4).flatmap(
+               lambda n: st.lists(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+                                  min_size=1, max_size=4)),
+           more=st.lists(st.sampled_from(sorted(_SCORE_KINDS)), max_size=2),
+           data=st.data())
+    def test_whole_matrix_check_agrees_with_the_per_score_loop(self, fault, matrix, more, data):
+        for name in [fault, *more]:
+            row = data.draw(st.sampled_from(matrix))
+            row[data.draw(st.integers(0, len(row) - 1))] = _SCORE_KINDS[name]
+        scores = [score for row in matrix for score in row]
+        bad = [score for score in scores if not _valid_score(score)]
+        assert similarity._unit_floats(matrix) == (
+            not bad and all(type(score) is float for score in scores))
+        fn = FixedMatrix(matrix)
+        candidates = [f"c{i}" for i in range(len(matrix))]
+        references = [f"r{j}" for j in range(len(matrix[0]))]
+        if bad:
+            message = f"similarity 'fixed' returned {bad[0]!r}, outside the [0, 1] contract"
+            for check in (lambda: answer_similarities(candidates, references, fn),
+                          lambda: similarity._check_scores(matrix, "fixed")):
+                with pytest.raises(AdapterError) as error:
+                    check()
+                assert str(error.value) == message
+            return
+        rows = answer_similarities(candidates, references, fn)
+        assert rows == [[float(score) for score in row] for row in matrix]
+        assert all(type(score) is float for row in rows for score in row)
 
 
 class TestCharMode:
