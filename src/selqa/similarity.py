@@ -216,8 +216,13 @@ def answer_similarities(
     if _unit_floats(raw):
         if m == len(candidates) and n == len(references):
             return raw
-    else:
-        _check_scores(raw, fn.name)
+    else:  # name the first bad score, row-major; ints pass and become floats
+        for row in raw:
+            for score in row:
+                if (type(score) is bool or not isinstance(score, (float, int))
+                        or not 0.0 <= score <= 1.0):
+                    raise AdapterError(f"similarity {fn.name!r} returned {score!r}, "
+                                       "outside the [0, 1] contract")
     rows = iter(raw)
     matrix = []
     for flag in cand_abstains:
@@ -238,13 +243,3 @@ def _unit_floats(raw: Sequence[Sequence[object]]) -> bool:
             if type(score) is not float or not 0.0 <= score <= 1.0:
                 return False
     return True
-
-
-def _check_scores(raw: Sequence[Sequence[object]], name: str) -> None:
-    """Name the first score, row-major, that is not a real in [0, 1], bool excluded."""
-    for row in raw:
-        for score in row:
-            if (type(score) is bool or not isinstance(score, (float, int))
-                    or not 0.0 <= score <= 1.0):
-                raise AdapterError(f"similarity {name!r} returned {score!r}, "
-                                   "outside the [0, 1] contract")
