@@ -7,16 +7,14 @@ functions score a (candidate, reference) pair of normalized answers into
 in one call, the seam a batching scorer overrides. ``answer_similarities``,
 the one checked entry point, applies the abstention override and checks
 what score_matrix returns: its shape, then every score in one pass that
-accepts only floats in [0, 1]. A matrix that fails that pass goes through
-the full per-score rule, which also accepts ints and names the first bad
-score.
+names the first one outside [0, 1] and accepts ints as well as floats.
 
-The built-in scorer is smoothed sentence BLEU. Its score_matrix scores
-only the pairs of answers that share a token, found by testing their
-token sets; any other pair has no unigram overlap, so it is 0.0 both
-ways. Only those pairs' answers get n-gram tables, built once per answer
-per call, and in a square the diagonal is 1.0, or 0.0 for an answer with
-no token, without scoring. Nothing is kept between calls. External
+The built-in scorer is smoothed sentence BLEU from per-answer n-gram
+tables, built once per answer per call. A rectangle scores every pair. A
+square scores only the pairs of answers that share a token, found by
+testing their token sets; any other pair has no unigram overlap, so it is
+0.0 both ways, and its diagonal is 1.0, or 0.0 for an answer with no
+token, without scoring. Nothing is kept between calls. External
 model-backed scorers plug in through :mod:`selqa.adapter` and are held to
 the same output contract.
 """
@@ -152,25 +150,17 @@ class BleuSimilarity(SimilarityFn):
     def score_matrix(
         self, candidates: Sequence[str], references: Sequence[str]
     ) -> list[list[float]]:
+        if candidates != references:
+            cands = [_ngram_table(tokenize(answer, self.mode)) for answer in candidates]
+            refs = [_ngram_table(tokenize(answer, self.mode)) for answer in references]
+            return [[_bleu(a[0], b[0], _overlaps(a, b)) for b in refs] for a in cands]
+        # A square: an answer scores 1.0 against itself when it has a token.
         # A pair that shares no token has no unigram overlap, so its BLEU is
-        # 0.0 both ways: only the pairs that share one are scored, and only
+        # 0.0 both ways: only the pairs that share one are scored, each
+        # unordered pair's overlaps serve both of its directions, and only
         # their answers get n-gram tables, one per answer per call.
         cands = [tokenize(answer, self.mode) for answer in candidates]
         cand_sets = [set(tokens) for tokens in cands]
-        if candidates != references:
-            refs = [tokenize(answer, self.mode) for answer in references]
-            ref_sets = [set(tokens) for tokens in refs]
-            pairs = [(i, j) for i, a in enumerate(cand_sets)
-                     for j, b in enumerate(ref_sets) if not a.isdisjoint(b)]
-            rows = {i: _ngram_table(cands[i]) for i in {i for i, _ in pairs}}
-            columns = {j: _ngram_table(refs[j]) for j in {j for _, j in pairs}}
-            matrix = [[0.0] * len(refs) for _ in cands]
-            for i, j in pairs:
-                a, b = rows[i], columns[j]
-                matrix[i][j] = _bleu(a[0], b[0], _overlaps(a, b))
-            return matrix
-        # A square: an answer scores 1.0 against itself when it has a token,
-        # and each unordered pair's overlaps serve both of its directions.
         pairs = [(i, j) for i, a in enumerate(cand_sets)
                  for j in range(i) if not a.isdisjoint(cand_sets[j])]
         tables = {k: _ngram_table(cands[k]) for k in set(chain.from_iterable(pairs))}
@@ -200,6 +190,8 @@ def answer_similarities(
     answer and 1 against another abstention. The proper answers go to one
     fn.score_matrix call, whose result is checked, not trusted: anything but
     a matrix of its shape holding reals in [0, 1], bool excluded, is an AdapterError.
+    When nothing abstains, a list of lists of floats is returned as
+    score_matrix gave it; any other result is copied into lists of floats.
     """
     cand_abstains = [ABSTENTION_MARKER in answer for answer in candidates]
     ref_abstains = [ABSTENTION_MARKER in answer for answer in references]
@@ -213,16 +205,23 @@ def answer_similarities(
         shaped = False
     if not shaped:
         raise AdapterError(f"similarity {fn.name!r} score_matrix result is not {m} x {n}")
-    if _unit_floats(raw):
-        if m == len(candidates) and n == len(references):
-            return raw
-    else:  # name the first bad score, row-major; ints pass and become floats
-        for row in raw:
-            for score in row:
-                if (type(score) is bool or not isinstance(score, (float, int))
-                        or not 0.0 <= score <= 1.0):
-                    raise AdapterError(f"similarity {fn.name!r} returned {score!r}, "
-                                       "outside the [0, 1] contract")
+    # One pass names the first bad score, row-major. A list of lists of
+    # floats in [0, 1] is returned as it came when nothing abstains; ints
+    # and float subclasses pass but send the rows through float().
+    exact = type(raw) is list
+    for row in raw:
+        if type(row) is not list:
+            exact = False
+        for score in row:
+            if type(score) is float and 0.0 <= score <= 1.0:
+                continue
+            if (type(score) is bool or not isinstance(score, (float, int))
+                    or not 0.0 <= score <= 1.0):
+                raise AdapterError(f"similarity {fn.name!r} returned {score!r}, "
+                                   "outside the [0, 1] contract")
+            exact = False
+    if exact and m == len(candidates) and n == len(references):
+        return raw
     rows = iter(raw)
     matrix = []
     for flag in cand_abstains:
@@ -231,15 +230,3 @@ def answer_similarities(
                        for other in ref_abstains])
     return matrix
 
-
-def _unit_floats(raw: Sequence[Sequence[object]]) -> bool:
-    """Whether every score is a float in [0, 1], in one pass over the matrix.
-
-    The exact type test turns away bool, int and float subclasses alike, and
-    NaN fails the range test.
-    """
-    for row in raw:
-        for score in row:
-            if type(score) is not float or not 0.0 <= score <= 1.0:
-                return False
-    return True

@@ -301,6 +301,23 @@ class TestAnswerSimilarities:
         assert rows == [[1.0, 0.0]] and all(type(x) is float for x in rows[0])
 
     @pytest.mark.parametrize("matrix", [
+        ((0.25, 1.0),),  # tuples
+        ([0.25, 1.0],),  # a tuple of lists
+        [(0.25, 1.0)],  # a tuple row
+        [[0.25, 0]],  # an int score
+        [[0.25, type("Unit", (float,), {})(1.0)]],  # a float subclass
+    ])
+    def test_other_results_come_back_as_lists_of_floats(self, matrix):
+        rows = answer_similarities(["a"], ["b", "c"], FixedMatrix(matrix))
+        assert rows == [[0.25, float(matrix[0][1])]]
+        assert type(rows) is list and type(rows[0]) is list
+        assert all(type(score) is float for score in rows[0])
+
+    def test_a_list_of_float_lists_comes_back_as_it_came(self):
+        matrix = [[0.25, 1.0], [0.0, 0.5]]
+        assert answer_similarities(["a", "b"], ["c", "d"], FixedMatrix(matrix)) is matrix
+
+    @pytest.mark.parametrize("matrix", [
         [],
         [[0.5, 0.5, 0.5]],  # a row too few
         [[0.5, 0.5, 0.5], [0.5, 0.5]],  # a row too short
@@ -333,10 +350,7 @@ class TestAnswerSimilarities:
         for name in [kind, *more]:
             row = data.draw(st.sampled_from(matrix))
             row[data.draw(st.integers(0, len(row) - 1))] = _SCORE_KINDS[name]
-        scores = [score for row in matrix for score in row]
-        bad = [score for score in scores if not _valid_score(score)]
-        assert similarity._unit_floats(matrix) == (
-            not bad and all(type(score) is float for score in scores))
+        bad = [score for row in matrix for score in row if not _valid_score(score)]
         fn = FixedMatrix(matrix)
         candidates = [f"c{i}" for i in range(len(matrix))]
         references = [f"r{j}" for j in range(len(matrix[0]))]
