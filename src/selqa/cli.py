@@ -33,12 +33,23 @@ it have already been scored, adapter requests included. The step keeps a
 record's scoring error for the loop to raise once the join has passed the
 record, so a line that repeats an id is scored before it is rejected (its
 verdict is never decided), and the duplicate is reported even when the
-line cannot be scored. The join
-summary is printed once the last line is read. Outputs are written only
-after that, all or none (each staged under its own name in a temp
-directory beside its target, through any symlink, then all renamed; a
-FIFO or device target is written after the renames, as stdout is), and are
-byte-identical across runs.
+line cannot be scored. The join summary is printed once the last line is
+read.
+
+An adapter run (always serial) reads the dump a window of _WINDOW records
+ahead: each record is planned as it is read, its scores or the answers and
+weights avg-similarity needs (scoring.plan_scores), and its missing pairs
+go to the scorer at once; the window's replies are read as one exchange,
+and its records are then scored and joined in file order from the pair
+table. So an error still names the first failing line, but later lines of
+its window may already have had their pairs sent. A reply surplus names
+the window's lines, and bytes the scorer writes after the run's last reply
+fail the run when the scorer is closed, before any output.
+
+Outputs are written only after the last line is read, all or none (each
+staged under its own name in a temp directory beside its target, through
+any symlink, then all renamed; a FIFO or device target is written after
+the renames, as stdout is), and are byte-identical across runs.
 
 With more than one CPU, a dump that is a regular file of at least two
 shards' minimum bytes is cut at line starts, and one forked worker per
@@ -74,8 +85,8 @@ from . import metrics, scoring
 from ._columns import Columns, Scored
 from .correctness import CorrectnessClassifier
 from .errors import AdapterError, DataError, UsageError
-from .similarity import BleuSimilarity, SimilarityFn
-from .records import PredictionRecord
+from .similarity import BleuSimilarity, SimilarityFn, proper_answers
+from .records import PredictionRecord, check_scored
 from .textnorm import normalize_answer
 
 _EXIT_USAGE = 1
@@ -86,6 +97,9 @@ _CLASSIFIER_CHOICES = ("em", "bleu-threshold", "adapter-threshold")
 #: Fewest dump bytes worth a shard: a smaller dump, or one below two of
 #: these, is scored serially, as forking would cost more than it saves.
 _SHARD_MIN_BYTES = 1 << 18
+#: Dump records an adapter run reads ahead: their pairs go to the scorer as
+#: each is read, and their replies are read as one exchange.
+_WINDOW = 64
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -225,6 +239,19 @@ def _located(predictions_path: str, record: PredictionRecord | Scored, exc: Exce
     return f"{predictions_path}: line {record.line}: question_id {record.question_id!r}: {exc}"
 
 
+def _locate(
+    predictions_path: str, record: PredictionRecord | Scored, exc: ValueError | AdapterError
+) -> DataError | AdapterError:
+    """exc as the record's located error: an adapter error, or else a data error."""
+    kind = AdapterError if isinstance(exc, AdapterError) else DataError
+    return kind(_located(predictions_path, record, exc))
+
+
+def _lines(window: Sequence[tuple]) -> str:
+    """The span of dump lines a window's items came from."""
+    return f"lines {window[0][1]}-{window[-1][1]}"
+
+
 def _write_outputs(
     outputs: Sequence[tuple[bytes | bytearray, str | None]], new_dir: str | None = None
 ) -> None:
@@ -354,11 +381,89 @@ def _score(
                         text = (normalize_answer(record.greedy.text)
                                 if triggered and classifier else None)
                         result = (triggered, text, [scores[method] for method in methods])
-                    except ValueError as exc:
-                        error = DataError(_located(args.predictions, record, exc))
-                    except AdapterError as exc:
-                        error = AdapterError(_located(args.predictions, record, exc))
+                    except (ValueError, AdapterError) as exc:
+                        error = _locate(args.predictions, record, exc)
                 yield Scored(record.question_id, record.line, result, error)
+
+        def windows(
+            records: Iterable[PredictionRecord], gold: dict[str, str] | None
+        ) -> Iterator[Scored]:
+            """step for an adapter run, which holds one window of records at a time.
+
+            Each record is planned as it is read (scoring.plan_scores), and
+            its avg-similarity pairs, then its adapter-threshold verdict row,
+            go to the scorer at once through fn.prefetch. Once _WINDOW
+            records are read, the window's replies are tabled, and its items
+            are scored from the table in file order, so a record's adapter
+            error still names it. A dump line that cannot be read ends its
+            window, and its error is raised after the window's records and
+            after the window's reply surplus, if any, which names the
+            window's lines.
+            """
+            records = iter(records)
+            failure: list[DataError | OSError] = []  # the error reading the dump raised
+            verdicts = classifier is not None and classifier.similarity is fn
+
+            def requests(window: list, record: PredictionRecord) -> Iterator[list]:
+                """Plan record and the ones after it into window; yield each one's matrices."""
+                ids: set[str] = set()  # the window's ids the gold index holds
+                while True:
+                    qid, matrices = record.question_id, []
+                    if gold is None or qid in gold:
+                        triggered = scoring.trigger_decision(record.greedy)
+                        parts, error = scoring.plan_scores(record, methods)
+                        for part in parts:
+                            if type(part) is tuple:  # the avg method's answers and weights
+                                keys = proper_answers(part[0])
+                                matrices.append((keys, keys))
+                        text = (normalize_answer(record.greedy.text)
+                                if triggered and classifier else None)
+                        # the verdict row of a record the join will pass
+                        if (verdicts and text is not None and error is None and qid not in ids
+                                and not selqa_io.gold_joined(gold[qid])):
+                            golds = selqa_io.gold_answers(gold[qid])
+                            matrices.append((proper_answers([text]), proper_answers(golds)))
+                        ids.add(qid)
+                        window.append((qid, record.line, triggered, text, parts, error))
+                    else:
+                        window.append(Scored(qid, record.line, None, None))
+                    yield matrices
+                    if len(window) == _WINDOW:
+                        return
+                    try:
+                        record = next(records)
+                    except StopIteration:
+                        return
+                    except (DataError, OSError) as exc:
+                        failure.append(exc)
+                        return
+
+            def decided(
+                qid: str, line: int, triggered: bool, text: str | None,
+                parts: list, error: ValueError | None,
+            ) -> Scored:
+                item = Scored(qid, line, None, None)
+                try:
+                    scores = scoring.finish_scores(methods, parts, fn)
+                    if error is not None:
+                        raise error
+                    check_scored(triggered, scores, {})
+                except (ValueError, AdapterError) as exc:
+                    return item._replace(error=_locate(args.predictions, item, exc))
+                return item._replace(result=(triggered, text, [scores[m] for m in methods]))
+
+            for record in records:
+                window: list = []
+                try:
+                    surplus = fn.prefetch(requests(window, record))
+                except AdapterError as exc:
+                    raise AdapterError(f"{args.predictions}: {_lines(window)}: {exc}") from exc
+                for planned in window:
+                    yield planned if type(planned) is Scored else decided(*planned)
+                if surplus is not None:
+                    raise AdapterError(f"{args.predictions}: {_lines(window)}: {surplus}")
+                if failure:
+                    raise failure[0]
 
         cuts = _shard_cuts(args)
         workers = []
@@ -376,7 +481,7 @@ def _score(
                 items = chain.from_iterable(workers)
             else:
                 records = selqa_io.iter_predictions(args.predictions, samples=samples)
-                items = step(records, gold)
+                items = (windows if args.adapter_cmd is not None else step)(records, gold)
             if gold is not None:
                 items = selqa_io.join_stream(items, gold, summary, args.predictions)
             table = Columns(methods)
@@ -397,6 +502,10 @@ def _score(
                 records.close()
             for worker in workers:
                 worker.stop()
+        try:
+            fn.close()  # a scorer's bytes past the last reply read fail the run
+        except AdapterError as exc:
+            raise AdapterError(f"{args.predictions}: {exc}") from exc
     if not summary.clean:
         print(f"join: {summary.describe()}", file=sys.stderr)
     if gold is not None and not table:
@@ -411,10 +520,8 @@ def _verdict(
     """The classifier's verdict on a triggered record's normalized greedy text, located."""
     try:
         return classifier._verdict(text, entry)
-    except ValueError as exc:
-        raise DataError(_located(args.predictions, item, exc)) from exc
-    except AdapterError as exc:
-        raise AdapterError(_located(args.predictions, item, exc)) from exc
+    except (ValueError, AdapterError) as exc:
+        raise _locate(args.predictions, item, exc) from exc
 
 
 def _shard_cuts(args: argparse.Namespace) -> list[int] | None:

@@ -579,6 +579,11 @@ def gold_has(entry: str, answer: str) -> bool:
     return f"\n{answer}\n" in entry
 
 
+def gold_joined(entry: str) -> bool:
+    """Whether the join has matched a prediction to the entry."""
+    return entry[0].islower()
+
+
 # ---------------------------------------------------------------------------
 # joining
 
@@ -656,7 +661,7 @@ def join_stream(
             summary.n_unmatched_predictions += 1
             if len(summary.unmatched_predictions) < JoinSummary.MAX_IDS:
                 summary.unmatched_predictions.append(qid)
-        elif entry[0].islower():
+        elif gold_joined(entry):
             raise _duplicate(p, path)
         else:
             index[qid] = entry[0].lower() + entry[1:]

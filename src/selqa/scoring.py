@@ -13,6 +13,9 @@ All scores land in [0, 1] and rank "answer" over "abstain":
 
 The sampling scores read one grouping of a record's samples by normalized
 text; score_record builds it once per record, at its first sampling method.
+score_record is plan_scores, which needs no similarity, then finish_scores,
+which makes the similarity calls; the CLI's adapter runs hold a window of
+records' plans while their pairs go to the scorer.
 avg-bleu scores a record's distinct answers against each other with one
 similarity.answer_similarities call, which applies the abstention override,
 makes one score_matrix call and checks every returned score in one pass.
@@ -57,6 +60,9 @@ def likelihood_score(answer: SampledAnswer) -> float:
 
 
 _Groups = dict[str, list[SampledAnswer]]
+#: What the avg method needs of a record besides a similarity: its distinct
+#: normalized answers and the weight of each.
+AvgInputs = tuple[list[str], list[float]]
 
 
 def _group_samples(samples: Sequence[SampledAnswer], method: str) -> _Groups:
@@ -104,16 +110,25 @@ def avg_bleu_score(samples: Sequence[SampledAnswer], fn: SimilarityFn | None = N
 
 
 def _avg_similarity(groups: _Groups, fn: SimilarityFn) -> float:
+    keys, weights = _avg_inputs(groups)
+    return _avg_score(weights, answer_similarities(keys, keys, fn))
+
+
+def _avg_inputs(groups: _Groups) -> AvgInputs:
     weights = [likelihood_score(group[0]) for group in groups.values()]
     # Weights are probabilities of distinct sequences, so a consistent dump
     # keeps their sum at or below 1; beyond float noise the dump lies.
     total = math.fsum(weights)
     if total > 1.0 + 1e-9:
         raise ValueError(f"distinct-sample probabilities sum above 1 ({total})")
-    keys = list(groups)
-    rows = answer_similarities(keys, keys, fn)
-    # fsum is exact, so the result does not depend on the order of the terms.
-    terms = [weight * score for weight, row in zip(weights, rows) for score in row]
+    return list(groups), weights
+
+
+def _avg_score(weights: list[float], rows: list[list[float]]) -> float:
+    """The avg method's score from the weights and the similarity matrix of the answers."""
+    # fsum is exact, so the result depends neither on the order of the terms
+    # nor on the zero ones, which are most of a BLEU square and are left out.
+    terms = [weight * score for weight, row in zip(weights, rows) for score in row if score]
     # With similarities in [0, 1] the score is at most the weight sum.
     return min(math.fsum(terms) / len(weights), 1.0)
 
@@ -153,20 +168,53 @@ def score_record(
 ) -> dict[str, float]:
     """Compute the requested confidence scores for one record."""
     fn = fn if fn is not None else BleuSimilarity()
-    scores: dict[str, float] = {}
-    groups = None
-    for name in resolve_method_names(methods, fn.name):
-        if name == "likelihood":
-            scores[name] = likelihood_score(record.greedy)
-            continue
-        groups = groups or _group_samples(record.samples, name)
-        if name == "repetition":
-            scores[name] = _repetition(groups)
-        elif name == "diversity":
-            scores[name] = _diversity(groups)
-        else:
-            scores[name] = _avg_similarity(groups, fn)
+    names = resolve_method_names(methods, fn.name)
+    parts, error = plan_scores(record, names)
+    scores = finish_scores(names, parts, fn)
+    if error is not None:
+        raise error
     return scores
+
+
+def plan_scores(
+    record: PredictionRecord, methods: Sequence[str]
+) -> tuple[list[float | AvgInputs], ValueError | None]:
+    """What scoring a record takes besides a similarity, method by method.
+
+    methods are resolved names. Each part is a method's score, or the avg
+    method's AvgInputs, in methods' order up to the first method that
+    cannot score the record; the error is that method's (None if every
+    method can). Each sample is normalized once, so a caller can hold the
+    parts instead of the record and score them later with finish_scores.
+    """
+    parts: list[float | AvgInputs] = []
+    groups = None
+    try:
+        for name in methods:
+            if name == "likelihood":
+                parts.append(likelihood_score(record.greedy))
+                continue
+            groups = groups or _group_samples(record.samples, name)
+            if name == "repetition":
+                parts.append(_repetition(groups))
+            elif name == "diversity":
+                parts.append(_diversity(groups))
+            else:
+                parts.append(_avg_inputs(groups))
+    except ValueError as exc:
+        return parts, exc
+    return parts, None
+
+
+def finish_scores(
+    methods: Sequence[str], parts: Sequence[float | AvgInputs], fn: SimilarityFn
+) -> dict[str, float]:
+    """The scores of plan_scores' parts, keyed by method, the avg method's through fn."""
+    return {
+        name: _avg_score(part[1], answer_similarities(part[0], part[0], fn))
+        if type(part) is tuple else part
+        for name, part in zip(methods, parts)
+    }
 
 
 def score_all(

@@ -193,10 +193,9 @@ def answer_similarities(
     When nothing abstains, a list of lists of floats is returned as
     score_matrix gave it; any other result is copied into lists of floats.
     """
-    cand_abstains = [ABSTENTION_MARKER in answer for answer in candidates]
-    ref_abstains = [ABSTENTION_MARKER in answer for answer in references]
-    proper_cands = [a for a, flag in zip(candidates, cand_abstains) if not flag]
-    proper_refs = [b for b, flag in zip(references, ref_abstains) if not flag]
+    proper_cands = proper_answers(candidates)
+    # a square's one list serves both sides
+    proper_refs = proper_cands if references is candidates else proper_answers(references)
     raw = fn.score_matrix(proper_cands, proper_refs)
     m, n = len(proper_cands), len(proper_refs)
     try:
@@ -222,11 +221,18 @@ def answer_similarities(
             exact = False
     if exact and m == len(candidates) and n == len(references):
         return raw
+    ref_abstains = [ABSTENTION_MARKER in answer for answer in references]
     rows = iter(raw)
     matrix = []
-    for flag in cand_abstains:
+    for answer in candidates:
+        flag = ABSTENTION_MARKER in answer
         scores = map(float, () if flag else next(rows))
         matrix.append([float(flag) if other else 0.0 if flag else next(scores)
                        for other in ref_abstains])
     return matrix
+
+
+def proper_answers(answers: Sequence[str]) -> list[str]:
+    """The answers that do not abstain, in order: what answer_similarities scores."""
+    return [answer for answer in answers if ABSTENTION_MARKER not in answer]
 

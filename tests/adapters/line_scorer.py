@@ -19,6 +19,7 @@ selects the behavior:
     <fault>-after:<n> jaccard for the first n requests, then the fault
                       (error, garbage, die or twice); after twice, jaccard
                       again
+    trailing          jaccard, then one more reply once stdin closes
 
 With REQUEST_LOG, each request line is appended to that file before its
 reply is written, so the requests a test sees counted are the ones the
@@ -42,7 +43,7 @@ def reply(mode: str, request: dict) -> dict:
     a, b = request["a"], request["b"]
     if mode == "em":
         return {"score": 1.0 if a == b else 0.0}
-    if mode == "jaccard" or mode.startswith(FAULTS):
+    if mode in ("jaccard", "trailing") or mode.startswith(FAULTS):
         return {"score": jaccard(a, b)}
     if mode.startswith("pad:"):
         return {"score": jaccard(a, b), "pad": "x" * int(mode.split(":", 1)[1])}
@@ -81,6 +82,8 @@ def main() -> int:
         sys.stdout.write(line + "\n")
         sys.stdout.flush()
         answered += 1
+    if mode == "trailing":
+        sys.stdout.write(json.dumps({"score": 0.0}) + "\n")
     return 0
 
 

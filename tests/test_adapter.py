@@ -12,9 +12,11 @@ from selqa import (
     AdapterError, CorrectnessClassifier, GoldAnnotation, GoldRecord, PredictionRecord,
     answer_similarity,
 )
+import selqa.cli
 from selqa.adapter import ExternalSimilarity
 from selqa.cli import main
-from selqa.scoring import score_all
+from selqa.io import join, load_gold, load_predictions
+from selqa.scoring import BUILTIN_METHODS, score_all
 
 from conftest import ADAPTER_SCRIPT, DATA_DIR, adapter_cmd, ans, logged_requests, run_python
 
@@ -108,18 +110,55 @@ class TestExternalSimilarity:
                 fn.similarity("w3 x", "x")
 
     def test_surplus_reply_exits_3_through_the_cli(self, tmp_path, capsys):
-        # records 1 and 2 send 16 and 80 pairs, so request 96 ends line 2's exchange
+        # the 20 lines are one window of 824 requests, and the last is answered
+        # twice; with no request ids, the surplus names the window's lines
         predictions = DATA_DIR / "golden_predictions.jsonl"
         code = main(["evaluate", "--predictions", str(predictions),
                      "--gold", str(DATA_DIR / "golden_gold.json"),
-                     "--adapter-cmd", " ".join(adapter_cmd("twice-after:95")),
+                     "--adapter-cmd", " ".join(adapter_cmd("twice-after:823")),
                      "--out", str(tmp_path / "report.md"),
                      "--curves-out", str(tmp_path / "curves")])
         assert code == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith(f"adapter error: {predictions}: line 2: question_id 'q000001': "
+        assert err.startswith(f"adapter error: {predictions}: lines 1-20: "
                               "adapter sent more replies than requests: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_reply_after_the_last_is_a_surplus_at_close(self):
+        fn = ExternalSimilarity(adapter_cmd("trailing"), name="late")
+        assert fn.similarity("a b", "b") == 0.5
+        with pytest.raises(AdapterError, match=(
+            r"""^adapter sent more replies than requests: '\{"score": 0\.0\}\\n'$"""
+        )):
+            fn.close()
+        fn.close()  # closed already: nothing to read
+
+    def test_surplus_at_close_yields_to_the_error_propagating(self):
+        with pytest.raises(KeyError, match="raised first"):
+            with ExternalSimilarity(adapter_cmd("trailing"), name="late") as fn:
+                fn.similarity("a", "b")
+                raise KeyError("raised first")
+
+    @pytest.mark.parametrize("mode", ["twice-after:3", "trailing"])
+    def test_late_surplus_exits_3_through_the_cli(self, tmp_path, capsys, mode):
+        # twice-after:3 shifts every later reply by one, so its surplus is read
+        # at the end of the window or when the scorer is closed, whichever
+        # sees it; trailing writes its surplus once its input is closed
+        predictions = DATA_DIR / "golden_predictions.jsonl"
+        code = main(["evaluate", "--predictions", str(predictions),
+                     "--gold", str(DATA_DIR / "golden_gold.json"),
+                     "--adapter-cmd", " ".join(adapter_cmd(mode)),
+                     "--out", str(tmp_path / "report.md"),
+                     "--curves-out", str(tmp_path / "curves")])
+        assert code == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.match(rf"adapter error: {re.escape(str(predictions))}: (lines 1-20: )?"
+                        "adapter sent more replies than requests: ", err)
+        if mode == "trailing":
+            assert err.endswith(": adapter sent more replies than requests: "
+                                """'{"score": 0.0}\\n'\n""")
         assert list(tmp_path.iterdir()) == []
 
     def test_banner_before_the_first_reply_is_invalid_json(self, capsys):
@@ -240,6 +279,64 @@ class TestRecordExchanges:
         assert code == 0
         requests = logged_requests(log)
         assert len(requests) == len(set(requests)) > 0
+
+
+def _golden_run(tmp_path, *flags):
+    """Exit code of evaluate on the golden fixtures under the jaccard scorer, which
+    logs its requests to tmp_path/requests.jsonl."""
+    return main(["evaluate", "--predictions", str(DATA_DIR / "golden_predictions.jsonl"),
+                 "--gold", str(DATA_DIR / "golden_gold.json"),
+                 "--adapter-cmd", " ".join(adapter_cmd("jaccard", tmp_path / "requests.jsonl")),
+                 "--adapter-name", "jaccard", "--classifier", "adapter-threshold",
+                 "--out", str(tmp_path / "report.md"), *flags])
+
+
+def _per_record_requests(tmp_path):
+    """The requests of scoring the golden records one at a time, each record's
+    avg-similarity square and then its verdict row, as score_all does."""
+    log = tmp_path / "per-record.jsonl"
+    pairs, _ = join(load_predictions(str(DATA_DIR / "golden_predictions.jsonl")),
+                    load_gold(str(DATA_DIR / "golden_gold.json")))
+    with ExternalSimilarity(adapter_cmd("jaccard", log), name="jaccard") as fn:
+        classifier = CorrectnessClassifier.adapter_threshold(fn)
+        for record, gold in pairs:
+            score_all(record, gold, BUILTIN_METHODS, fn, (classifier,))
+    return logged_requests(log)
+
+
+class TestWindows:
+    """An adapter run sends the pairs of a window of dump records as one exchange."""
+
+    @pytest.mark.parametrize("window", [64, 8, 5])
+    def test_one_exchange_per_window_in_per_record_order(self, tmp_path, monkeypatch, window):
+        expected = _per_record_requests(tmp_path)
+        monkeypatch.setattr(selqa.cli, "_WINDOW", window)
+        exchanges = []
+        send = ExternalSimilarity._exchange
+        monkeypatch.setattr(ExternalSimilarity, "_exchange",
+                            lambda self, *args: exchanges.append(args) or send(self, *args))
+        assert _golden_run(tmp_path) == 0
+        assert len(exchanges) == math.ceil(20 / window)
+        assert logged_requests(tmp_path / "requests.jsonl") == expected
+
+    def test_pair_table_is_cleared_only_between_windows(self, tmp_path, monkeypatch):
+        (tmp_path / "uncapped").mkdir()
+        (tmp_path / "capped").mkdir()
+        assert _golden_run(tmp_path / "uncapped") == 0
+        monkeypatch.setattr(selqa.cli, "_WINDOW", 5)
+        monkeypatch.setattr(selqa.adapter, "_TABLE_CAP", 1)
+        exchanges = []
+        send = ExternalSimilarity._exchange
+        monkeypatch.setattr(ExternalSimilarity, "_exchange",
+                            lambda self, *args: exchanges.append(args) or send(self, *args))
+        assert _golden_run(tmp_path / "capped") == 0
+        # cleared at each window's start, and never while a window is scored,
+        # which would take one more exchange per window
+        assert len(exchanges) == 4
+        requests = logged_requests(tmp_path / "capped" / "requests.jsonl")
+        assert len(requests) > len(set(requests))
+        report = (tmp_path / "capped" / "report.md").read_bytes()
+        assert report == (tmp_path / "uncapped" / "report.md").read_bytes()
 
 
 class TestAdapterPool:

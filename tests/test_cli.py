@@ -466,6 +466,44 @@ class TestStreamedErrorOrder:
             f"adapter error: {pred}: line 1: question_id 'q1': adapter reported: scorer exploded\n"
         )
 
+    def test_adapter_error_names_its_line_after_later_lines_were_sent(self, tmp_path, capsys):
+        # lines 1 and 2 send 16 and 80 pairs, so request 97 is line 3's first
+        log = tmp_path / "requests.jsonl"
+        code = run("evaluate", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
+                   "--adapter-cmd", " ".join(adapter_cmd("error-after:96", log)),
+                   "--methods", "avg-bleu")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"adapter error: {GOLDEN_PRED}: line 3: question_id 'q000002': "
+            "adapter reported: scorer exploded\n"
+        )
+        # the 20 lines are one window, and every line's pairs went out
+        assert len(logged_requests(log)) == 824
+
+    def test_unscorable_line_in_a_window_sends_no_pairs(self, tmp_path, capsys):
+        pred, gold = tmp_path / "p.jsonl", tmp_path / "g.json"
+        line_3 = _scorable("q3").replace("red car", "green car")
+        pred.write_text("\n".join([_scorable("q1"), UNSCORABLE["p-sum-above-1"], line_3]) + "\n")
+        gold.write_text(json.dumps([{"question_id": q, "answers": [{"answer": "red apple"}]}
+                                    for q in ("q1", "q-psum", "q3")]))
+        log = tmp_path / "requests.jsonl"
+        code = run("evaluate", "--predictions", str(pred), "--gold", str(gold),
+                   "--adapter-cmd", " ".join(adapter_cmd("jaccard", log)), "--methods", "avg-bleu")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {pred}: line 2: question_id 'q-psum': "
+            "distinct-sample probabilities sum above 1"
+        )
+        answers = {answer for pair in logged_requests(log) for answer in pair}
+        assert answers == {"red apple", "red car", "green car"}  # lines 1 and 3 only
+        # an adapter error of an earlier line comes first
+        code = run("evaluate", "--predictions", str(pred), "--gold", str(gold),
+                   "--adapter-cmd", " ".join(adapter_cmd("error")), "--methods", "avg-bleu")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"adapter error: {pred}: line 1: question_id 'q1': adapter reported: scorer exploded\n"
+        )
+
     def test_dump_is_read_lazily(self, tmp_path, capsys):
         pred = tmp_path / "p.jsonl"
         pred.write_text(_scorable("q1") + "\n{not json\n")

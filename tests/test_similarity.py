@@ -279,6 +279,17 @@ class TestAnswerSimilarities:
         # one call, over the proper answers only
         assert fn.calls == [(["red apple", "cat"], ["cat", "red car"])]
 
+    def test_a_square_is_filtered_once(self):
+        answers = ["red apple", "unanswerable", "cat"]
+        fn = FixedMatrix([[1.0, 0.0], [0.0, 1.0]])
+        fn.score_matrix = lambda candidates, references: (
+            fn.calls.append((candidates, references)) or fn.matrix)
+        assert answer_similarities(answers, answers, fn) == [
+            [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+        ]
+        [(candidates, references)] = fn.calls
+        assert candidates is references and candidates == ["red apple", "cat"]
+
     @pytest.mark.parametrize("mode", ["word", "char"])
     @given(candidates=st.lists(_oracle_answers | st.just("that is unanswerable"), max_size=5),
            references=st.lists(_oracle_answers | st.just("unanswerable"), max_size=5))
