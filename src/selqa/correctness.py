@@ -9,31 +9,34 @@ against every distinct gold answer in one answer_similarities call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .io import gold_answers, gold_entry, gold_has
-from .records import GoldRecord
+from .records import GoldRecord, _set, _Value
 from .similarity import BleuSimilarity, SimilarityFn, answer_similarities
 from .textnorm import normalize_answer
 
 
-@dataclass(frozen=True)
-class CorrectnessClassifier:
+class CorrectnessClassifier(_Value):
     """A named correctness rule: exact match or similarity-above-threshold.
 
     The default similarity threshold of 0.5 is exposed, not hidden; reports
     record the threshold actually used.
     """
 
-    name: str = "em"
-    threshold: float = 0.5
-    similarity: SimilarityFn | None = None
+    __slots__ = _fields = __match_args__ = ("name", "threshold", "similarity")
+    name: str
+    threshold: float
+    similarity: SimilarityFn | None
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError(f"threshold must lie in [0, 1], got {self.threshold}")
-        if self.name != "em" and self.similarity is None:
-            raise ValueError(f"classifier {self.name!r} needs a similarity function")
+    def __init__(
+        self, name: str = "em", threshold: float = 0.5, similarity: SimilarityFn | None = None
+    ) -> None:
+        if not 0.0 <= threshold <= 1.0:
+            raise ValueError(f"threshold must lie in [0, 1], got {threshold}")
+        if name != "em" and similarity is None:
+            raise ValueError(f"classifier {name!r} needs a similarity function")
+        _set(self, "name", name)
+        _set(self, "threshold", threshold)
+        _set(self, "similarity", similarity)
 
     @classmethod
     def exact_match(cls) -> "CorrectnessClassifier":

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO, TypeVar
 
@@ -590,17 +589,24 @@ def gold_joined(entry: str) -> bool:
 _P = TypeVar("_P")
 
 
-@dataclass
 class JoinSummary:
-    """Counts and first few ids of records without a partner."""
-
-    n_matched: int = 0
-    n_unmatched_predictions: int = 0
-    n_unmatched_gold: int = 0
-    unmatched_predictions: list[str] = field(default_factory=list)
-    unmatched_gold: list[str] = field(default_factory=list)
+    """Counts and first few ids of records without a partner; the join updates it."""
 
     MAX_IDS = 10
+
+    def __init__(
+        self,
+        n_matched: int = 0,
+        n_unmatched_predictions: int = 0,
+        n_unmatched_gold: int = 0,
+        unmatched_predictions: list[str] | None = None,
+        unmatched_gold: list[str] | None = None,
+    ) -> None:
+        self.n_matched = n_matched
+        self.n_unmatched_predictions = n_unmatched_predictions
+        self.n_unmatched_gold = n_unmatched_gold
+        self.unmatched_predictions = [] if unmatched_predictions is None else unmatched_predictions
+        self.unmatched_gold = [] if unmatched_gold is None else unmatched_gold
 
     @property
     def clean(self) -> bool:

@@ -17,33 +17,39 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, compress, starmap
 from typing import Iterable, Iterator, Sequence
 
 from ._columns import Columns
-from .records import CalibrationReport, MethodMetrics, ScoredPrediction
+from .records import CalibrationReport, MethodMetrics, ScoredPrediction, _set, _Value
 
 
-@dataclass(frozen=True)
-class EvalPoint:
+class EvalPoint(_Value):
     """One (confidence score, correctness) observation."""
 
+    __slots__ = _fields = __match_args__ = ("score", "correct", "record_id")
     score: float
     correct: bool
-    record_id: str = ""
+    record_id: str
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
-            raise ValueError(f"score out of [0, 1]: {self.score}")
+    def __init__(self, score: float, correct: bool, record_id: str = "") -> None:
+        if not (math.isfinite(score) and 0.0 <= score <= 1.0):
+            raise ValueError(f"score out of [0, 1]: {score}")
+        _set(self, "score", score)
+        _set(self, "correct", correct)
+        _set(self, "record_id", record_id)
 
 
-@dataclass(frozen=True)
-class RiskCoveragePoint:
+class RiskCoveragePoint(_Value):
     """Accuracy of the top coverage% most-confident predictions."""
 
+    __slots__ = _fields = __match_args__ = ("coverage", "accuracy")
     coverage: float  # percent in (0, 100]
     accuracy: float  # percent in [0, 100]
+
+    def __init__(self, coverage: float, accuracy: float) -> None:
+        _set(self, "coverage", coverage)
+        _set(self, "accuracy", accuracy)
 
 
 #: A ranking: the scores in ranked order and the prefix counts of correct points.
@@ -177,13 +183,18 @@ def curve_pairs(ranking: Ranking) -> Iterator[tuple[float, float]]:
         yield 100.0 * m / n, 100.0 * hits[m] / m
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(_Value):
     """One operating point of a threshold sweep (answer when score > tau)."""
 
+    __slots__ = _fields = __match_args__ = ("tau", "coverage", "accuracy")
     tau: float
     coverage: float  # percent of the triggered subset retained
     accuracy: float  # percent correct among retained
+
+    def __init__(self, tau: float, coverage: float, accuracy: float) -> None:
+        _set(self, "tau", tau)
+        _set(self, "coverage", coverage)
+        _set(self, "accuracy", accuracy)
 
 
 def threshold_sweep(points: Sequence[EvalPoint]) -> list[SweepRow]:

@@ -16,11 +16,9 @@ complete, portable recipe: identical config, identical dump, byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .records import GoldAnnotation, GoldRecord, PredictionRecord, SampledAnswer
+from .records import GoldAnnotation, GoldRecord, PredictionRecord, SampledAnswer, _set, _Value
 
 _ANSWER_BANK = (
     "red apple", "blue mug", "green bottle", "wooden chair", "silver laptop",
@@ -47,16 +45,33 @@ def paraphrase(base: str, variant: int) -> str:
     return base + _PARAPHRASE_SUFFIXES[(variant - 1) % len(_PARAPHRASE_SUFFIXES)]
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(_Value):
+    __slots__ = _fields = __match_args__ = (
+        "n", "seed", "miscalibration_shift", "paraphrase_cluster_rate", "abstain_rate",
+        "samples_per_q",
+    )
     n: int
     seed: int
-    miscalibration_shift: float = 0.0
-    paraphrase_cluster_rate: float = 0.0
-    abstain_rate: float = 0.0
-    samples_per_q: int = 10
+    miscalibration_shift: float
+    paraphrase_cluster_rate: float
+    abstain_rate: float
+    samples_per_q: int
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n: int,
+        seed: int,
+        miscalibration_shift: float = 0.0,
+        paraphrase_cluster_rate: float = 0.0,
+        abstain_rate: float = 0.0,
+        samples_per_q: int = 10,
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "seed", seed)
+        _set(self, "miscalibration_shift", miscalibration_shift)
+        _set(self, "paraphrase_cluster_rate", paraphrase_cluster_rate)
+        _set(self, "abstain_rate", abstain_rate)
+        _set(self, "samples_per_q", samples_per_q)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.seed < 0:

@@ -966,3 +966,12 @@ class TestUsage:
     def test_markdown_not_valid_for_sweep(self, capsys):
         assert run("sweep", "--predictions", GOLDEN_PRED, "--gold", GOLDEN_GOLD,
                    "--format", "markdown") == 1
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # Together they cost about 10 ms of every CLI start (import plus class
+    # building); -S keeps site-packages' own imports out of sys.modules.
+    result = run_python(["-S", "-c", "import sys, selqa.cli; "
+                         "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))"])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"
