@@ -16,6 +16,7 @@ complete, portable recipe: identical config, identical dump, byte for byte.
 from __future__ import annotations
 
 import math
+
 import numpy as np
 
 from .records import GoldAnnotation, GoldRecord, PredictionRecord, SampledAnswer, _set, _Value
