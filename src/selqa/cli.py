@@ -6,14 +6,18 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 adapter error.
 
 evaluate, score and sweep share one scoring loop (_score) that streams the
 dump: the adapter is launched, the gold file, if any, is read into a
-compact index (one str per question id: selqa.io.pack_gold), and then each
-dump line is parsed and checked, goes through one scoring step and is
-joined in turn; the join marks the entries it matches rather than keeping
-a set of every id. The step yields a record's trigger decision, scores and
-normalized greedy text, and the loop decides the verdict, with any
-classifier, once the join has passed the record. Under --methods
+compact index (one str per question id: selqa.io.pack_gold, each distinct
+raw answer normalized once), and then the dump lines are parsed and
+checked, a batch of parsed lines accepted at a time with the records and
+errors of one line at a time, and each record goes through one scoring
+step and is joined in turn; the join marks the entries it matches rather
+than keeping a set of every id. The step plans a record's scores and
+finishes them with the method names resolved once for the run
+(scoring.plan_scores, then finish_scores), and yields its trigger
+decision, scores and normalized greedy text; the loop decides the verdict,
+with any classifier, once the join has passed the record. Under --methods
 likelihood alone the loader builds no samples, as no method reads them.
-The process holds the gold index, one record and the
+The process holds the gold index, one batch of parsed lines and the
 scored records as columns (selqa._columns: ids, flag bytes and a float
 array per method), never the whole dump and no object per record or gold
 entry; the report, curves and sweep read one ranking per method of those
@@ -369,21 +373,34 @@ def _score(
     with _build_similarity(args) as fn:
         classifier = _build_classifier(args, fn) if args.gold else None
 
+        def checked(triggered: bool, parts: list, error: ValueError | None) -> list[float]:
+            """The scores of a record's planned parts, checked as ScoredPrediction checks them.
+
+            The similarity calls come first, then the error of the method
+            that could not plan, then the checks of the scores.
+            """
+            scores = scoring.finish_scores(methods, parts, fn)
+            if error is not None:
+                raise error
+            check_scored(triggered, scores, {})
+            return list(scores.values())  # in methods' order
+
         def step(
             records: Iterable[PredictionRecord], known: Container[str] | None
         ) -> Iterator[Scored]:
             for record in records:
-                result = error = None
+                result = failure = None
                 if known is None or record.question_id in known:
                     try:
-                        triggered, scores = scoring.score_checked(record, methods, fn)
+                        triggered = scoring.trigger_decision(record.greedy)
+                        scores = checked(triggered, *scoring.plan_scores(record, methods))
                         # what the verdict reads, once the join has passed the record
                         text = (normalize_answer(record.greedy.text)
                                 if triggered and classifier else None)
-                        result = (triggered, text, [scores[method] for method in methods])
+                        result = (triggered, text, scores)
                     except (ValueError, AdapterError) as exc:
-                        error = _locate(args.predictions, record, exc)
-                yield Scored(record.question_id, record.line, result, error)
+                        failure = _locate(args.predictions, record, exc)
+                yield Scored(record.question_id, record.line, result, failure)
 
         def windows(
             records: Iterable[PredictionRecord], gold: dict[str, str] | None
@@ -444,13 +461,10 @@ def _score(
             ) -> Scored:
                 item = Scored(qid, line, None, None)
                 try:
-                    scores = scoring.finish_scores(methods, parts, fn)
-                    if error is not None:
-                        raise error
-                    check_scored(triggered, scores, {})
+                    scores = checked(triggered, parts, error)
                 except (ValueError, AdapterError) as exc:
                     return item._replace(error=_locate(args.predictions, item, exc))
-                return item._replace(result=(triggered, text, [scores[m] for m in methods]))
+                return item._replace(result=(triggered, text, scores))
 
             for record in records:
                 window: list = []

@@ -7,21 +7,29 @@ shape of crowd-sourced VQA annotation releases: per-annotation answerable
 flags default from the record-level flag when absent, and the record-level
 flag is the OR of the annotation flags when only those exist.
 
-A dump line is decoded and then accepted in a few whole-record passes that
-run in C (_accepted_record): one type-set test per kind of field, max and
-sum over all of the record's logprobs, and one comparison of which texts
-and logprob lists are empty. Only a line these passes refuse goes through
-the per-field path (_prediction_from_obj, then validate_record), which
-names each fault with its location, or accepts the rare valid record the
-passes are too coarse for. Valid dumps never take that path, so its
-per-answer work is paid only on the way to an error message.
+Each dump line is decoded, parsed and checked for lone surrogates on its
+own, and the parsed lines are then accepted a batch of _ACCEPT_BATCH at a
+time, in a few passes over the whole batch that run in C (_accepted_batch):
+one type-set test per kind of field, max and sum over all of the batch's
+logprobs, and one comparison of which texts and logprob lists are empty.
+A batch these passes refuse is accepted line by line, each line a batch
+of its own (_accepted_record), and only a line they refuse then goes
+through the per-field path (_prediction_from_obj, then validate_record),
+which names each fault with its location, or accepts the rare valid record
+the passes are too coarse for. Valid dumps never take that path, so its
+per-answer work is paid only on the way to an error message. The records,
+the errors and their order are those of a reader that accepts one line at
+a time: a line that fails to read, decode or parse is raised once the
+records of its batch before it are yielded.
 
-Both readers stream: iter_predictions yields one record per line, and the
-gold array is parsed one element at a time from chunks of 64 Ki characters,
-either into GoldRecords (load_gold) or into the compact index scoring reads
-(load_gold_index). Neither holds a valid file whole. A gold file the stream
-cannot read as an array is parsed again whole, once, only to name its first
-error as that parse words it.
+Both readers stream: iter_predictions holds one batch of parsed lines, and
+the gold array is parsed one element at a time from chunks of 64 Ki
+characters, either into GoldRecords (load_gold) or into the compact index
+scoring reads (load_gold_index), which normalizes each distinct raw answer
+once through a memo of at most _NORMALIZED_MAX answers that lives only for
+the call. Neither holds a valid file whole. A gold file the stream cannot
+read as an array is parsed again whole, once, only to name its first error
+as that parse words it.
 
 The index maps each question id to one str (pack_gold): a flag character
 for answerability, then the distinct normalized answers, each behind a
@@ -43,7 +51,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from typing import BinaryIO, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 from .errors import DuplicateKeyError, ParseError
@@ -57,7 +65,7 @@ from .records import (
     SampledAnswer,
     validate_record,
 )
-from .textnorm import distinct_normalized
+from .textnorm import distinct_normalized, normalize_answer
 
 # ---------------------------------------------------------------------------
 # prediction dumps (JSONL)
@@ -98,11 +106,14 @@ def iter_predictions(
     *,
     samples: bool = True,
 ) -> Iterator[PredictionRecord]:
-    """Parse and validate a prediction dump one line at a time, in file order.
+    """Parse and validate a prediction dump, in file order.
 
     Errors carry the offending line number, and each record keeps its line.
     Lines are decoded one at a time, so invalid UTF-8 is reported at its line.
-    Only the line being parsed is held; the file closes when the generator
+    The parsed lines are accepted _ACCEPT_BATCH at a time (_accepted_batch),
+    with the records and errors of one line at a time, in the same order:
+    an error is raised after the records of the lines before it. At most
+    one batch of parsed lines is held; the file closes when the generator
     finishes or is closed.
 
     start and end, byte offsets at line starts, limit the read to the lines
@@ -115,24 +126,55 @@ def iter_predictions(
         if start:  # a pipe cannot seek; it is only ever read from its start
             f.seek(start)
         lines = f if end is None else _lines_until(f, end - start)
-        for lineno, raw in enumerate(lines, start=first_line):
-            where = f"line {lineno}"
+        parsed = _parsed_lines(path, lines, first_line)
+        while True:
+            objs: list = []
+            linenos: list[int] = []
+            failure = None
             try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ParseError(path, where, f"invalid UTF-8: {exc}") from exc
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, where, f"invalid JSON: {exc.msg}") from exc
-            except (ValueError, RecursionError) as exc:
-                raise ParseError(path, where, _json_limit(exc)) from exc
-            if b"\\u" in raw:
-                _check_unicode(obj, path, where)
-            yield (_accepted_record(obj, lineno, samples)
-                   or _checked_record(obj, lineno, path, where, samples))
+                for lineno, obj in parsed:
+                    objs.append(obj)
+                    linenos.append(lineno)
+                    if len(objs) == _ACCEPT_BATCH:
+                        break
+            except (ParseError, OSError) as exc:  # raised once the lines before it are yielded
+                failure = exc
+            records = _accepted_batch(objs, linenos, samples)
+            if records is None:
+                records = (_accepted_record(obj, lineno, samples)
+                           or _checked_record(obj, lineno, path, f"line {lineno}", samples)
+                           for obj, lineno in zip(objs, linenos))
+            yield from records
+            if failure is not None:
+                raise failure
+            if len(objs) < _ACCEPT_BATCH:
+                return
+
+
+def _parsed_lines(
+    path: str, lines: Iterable[bytes], first_line: int
+) -> Iterator[tuple[int, object]]:
+    """Each non-blank line's number and decoded JSON value; a ParseError names a bad line.
+
+    Each line is decoded as UTF-8 and parsed on its own, and one holding a
+    \\u escape is checked for lone surrogates.
+    """
+    for lineno, raw in enumerate(lines, start=first_line):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(path, f"line {lineno}", f"invalid UTF-8: {exc}") from exc
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, f"line {lineno}", f"invalid JSON: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(path, f"line {lineno}", _json_limit(exc)) from exc
+        if b"\\u" in raw:
+            _check_unicode(obj, path, f"line {lineno}")
+        yield lineno, obj
 
 
 def _lines_until(f: BinaryIO, size: int) -> Iterator[bytes]:
@@ -186,69 +228,91 @@ def _check_unicode(obj: object, path: str, where: str) -> None:
         raise ParseError(path, where, f"invalid Unicode: lone surrogate {surrogate!r}") from exc
 
 
+#: Parsed dump lines accepted at a time (_accepted_batch). A batch is held as
+#: parsed objects until its records are built; 8 lines accept a dump about as
+#: fast as 16 or 32, and a serial run holds less.
+_ACCEPT_BATCH = 8
+
 # Exact types: JSON decoding yields only dict, list, str, int, float, bool
-# and None, so testing a set of types equals the isinstance checks below,
-# bool excluded.
+# and None, so testing a set of types equals the isinstance checks of the
+# per-field path, bool excluded.
 _DICT = frozenset({dict})
 _LIST = frozenset({list})
 _STR = frozenset({str})
 _FLOAT = frozenset({float})
 _NUMBER = frozenset({int, float})
+_META = frozenset({type(None), dict})
 #: The default of an absent samples or logprobs field; shared, never mutated.
 _EMPTY: list = []
 
 
-def _accepted_record(
-    obj: object, line: int, with_samples: bool = True
-) -> PredictionRecord | None:
-    """The record a decoded dump line holds if it is valid, else None.
+def _accepted_batch(
+    objs: list, lines: list[int], with_samples: bool = True
+) -> list[PredictionRecord] | None:
+    """The records of a batch of parsed dump lines if every one is valid, else None.
 
-    Checks the whole record in a few passes over its answers and logprobs
-    that run in C, with no Python loop per field: types, then logprob
-    signs and finiteness through max and sum, then text against logprobs.
-    None sends the line to _prediction_from_obj and validate_record, which
-    name every fault, and accept what these passes are too coarse for: a
-    record whose finite logprobs sum beyond float range. With with_samples
-    False, the samples are checked but no SampledAnswer is built for them.
+    Checks the whole batch in a few passes that run in C, with no Python
+    loop per field: the types of the records' fields, then of every answer
+    of every record, then logprob signs and finiteness through one max and
+    one sum over every logprob, then text against logprobs. The batch's sum
+    is finite only if each record's is, as no logprob is positive. None
+    sends the lines to _accepted_record one at a time, and any line it
+    refuses to _prediction_from_obj and validate_record, which name every
+    fault, and accept what these passes are too coarse for: a record whose
+    finite logprobs sum beyond float range. With with_samples False, the
+    samples are checked but no SampledAnswer is built for them.
     """
-    if type(obj) is not dict or "greedy" not in obj:
+    if not _DICT.issuperset(map(type, objs)):
         return None
-    qid = obj.get("question_id")
-    samples = obj.get("samples", _EMPTY)
-    meta = obj.get("meta")
-    if type(qid) is not str or not qid or type(samples) is not list:
+    qids = list(map(dict.get, objs, repeat("question_id")))
+    samples = list(map(dict.get, objs, repeat("samples"), repeat(_EMPTY)))
+    metas = list(map(dict.get, objs, repeat("meta")))
+    if not (_STR.issuperset(map(type, qids)) and all(qids)
+            and _LIST.issuperset(map(type, samples)) and _META.issuperset(map(type, metas))):
         return None
-    if meta is not None and not (
-        type(meta) is dict and _STR.issuperset(map(type, chain(meta, meta.values())))
-    ):
+    # JSON object keys are str, so only the values of a meta table need a test
+    if not _STR.issuperset(map(type, chain.from_iterable(map(dict.values, filter(None, metas))))):
         return None
-    answers = [obj["greedy"], *samples]
+    # every greedy answer (None where it is missing), then each record's samples in turn
+    answers = list(map(dict.get, objs, repeat("greedy")))
+    answers += chain.from_iterable(samples)
     if not _DICT.issuperset(map(type, answers)):
         return None
     texts = list(map(dict.get, answers, repeat("text")))
     logprobs = list(map(dict.get, answers, repeat("logprobs"), repeat(_EMPTY)))
     if not (_STR.issuperset(map(type, texts)) and _LIST.issuperset(map(type, logprobs))):
         return None
-    kinds = frozenset(map(type, chain.from_iterable(logprobs)))
-    if not _FLOAT.issuperset(kinds):
-        if not _NUMBER.issuperset(kinds):
+    values = list(chain.from_iterable(logprobs))
+    if not _FLOAT.issuperset(map(type, values)):
+        if not _NUMBER.issuperset(map(type, values)):
             return None
         try:
-            logprobs = [list(map(float, values)) for values in logprobs]
+            logprobs = [list(map(float, numbers)) for numbers in logprobs]
         except OverflowError:
             return None
+        values = list(chain.from_iterable(logprobs))
     # NaN fails the sum, +inf the max, -inf and an overflowing sum the sum.
-    if not (
-        max(chain.from_iterable(logprobs), default=0.0) <= 0.0
-        and sum(chain.from_iterable(logprobs)) > -math.inf
-    ):
+    if not (max(values, default=0.0) <= 0.0 and sum(values) > -math.inf):
         return None
     if list(map(bool, texts)) != list(map(bool, logprobs)):
         return None
     if not with_samples:
-        return PredictionRecord(qid, SampledAnswer(texts[0], logprobs[0]), (), meta, line)
-    greedy, *rest = map(SampledAnswer, texts, logprobs)
-    return PredictionRecord(question_id=qid, greedy=greedy, samples=rest, meta=meta, line=line)
+        greedies = map(SampledAnswer, texts, logprobs)  # the first len(objs) answers
+        return list(map(PredictionRecord, qids, greedies, repeat(()), metas, lines))
+    built = list(map(SampledAnswer, texts, logprobs))
+    rest = iter(built[len(objs):])
+    return [
+        PredictionRecord(qid, greedy, islice(rest, len(drawn)), meta, line)
+        for qid, greedy, drawn, meta, line in zip(qids, built, samples, metas, lines)
+    ]
+
+
+def _accepted_record(
+    obj: object, line: int, with_samples: bool = True
+) -> PredictionRecord | None:
+    """The record a parsed dump line holds if _accepted_batch takes it alone, else None."""
+    records = _accepted_batch([obj], [line], with_samples)
+    return None if records is None else records[0]
 
 
 def _prediction_from_obj(obj: dict, line: int) -> PredictionRecord:
@@ -352,15 +416,39 @@ def load_gold_index(path: str) -> dict[str, str]:
 
     Reads and checks the file as load_gold does, without building its
     records; a question_id seen twice is a DuplicateKeyError naming the
-    file and the repeating record's index.
+    file and the repeating record's index. Each distinct raw answer is
+    normalized once (_AnswerLines), and nothing is kept between calls.
     """
     index: dict[str, str] = {}
+    lines = _AnswerLines()  # gold answers repeat across records
     for i, obj in _gold_objects(path):
         qid, answers, flags = _checked_gold(obj, path, i)
         if qid in index:
             raise DuplicateKeyError(f"{path}: record {i}: duplicate question_id {qid!r}")
-        index[qid] = pack_gold([a["answer"] for a in answers], any(flags))
+        raws = map(dict.__getitem__, answers, repeat("answer"))
+        index[qid] = _packed(dict.fromkeys(map(lines.__getitem__, raws)), any(flags))
     return index
+
+
+#: Distinct raw answers load_gold_index holds normalized at most at once: room
+#: for the answers that repeat, while a gold file whose answers are nearly
+#: all distinct adds no more than this to the process's peak.
+_NORMALIZED_MAX = 512
+
+
+class _AnswerLines(dict):
+    """Each raw answer looked up, as the line it is in an entry: "\n" and its normal form.
+
+    Each distinct raw answer is normalized once. It is emptied whole once it
+    holds _NORMALIZED_MAX answers, so its size stays bounded however many
+    distinct answers a gold file has.
+    """
+
+    def __missing__(self, raw: str) -> str:
+        if len(self) >= _NORMALIZED_MAX:
+            self.clear()
+        self[raw] = line = "\n" + normalize_answer(raw)
+        return line
 
 
 def _checked_gold(obj: object, path: str, i: int) -> tuple[str, list[dict], list[bool]]:
@@ -554,8 +642,12 @@ def pack_gold(raws: Iterable[str], answerable: bool) -> str:
     whitespace, so an empty answer is an empty line and an exact match is
     one substring test (gold_has).
     """
-    flag = "A" if answerable else "U"
-    return flag + "".join("\n" + answer for answer in distinct_normalized(raws)) + "\n"
+    return _packed(["\n" + answer for answer in distinct_normalized(raws)], answerable)
+
+
+def _packed(lines: Iterable[str], answerable: bool) -> str:
+    """The entry of the lines of its distinct answers, each "\n" and a normal form."""
+    return ("A" if answerable else "U") + "".join(lines) + "\n"
 
 
 def gold_entry(record: GoldRecord) -> str:

@@ -172,7 +172,7 @@ class ScoredPrediction(_Value):
 
 
 def check_scored(triggered: bool, scores: Mapping[str, float], correct: Mapping[str, bool]) -> None:
-    """ScoredPrediction's checks, which scoring.score_checked makes without building one.
+    """ScoredPrediction's checks, made without building one (score_all, the CLI's steps).
 
     Every score is finite and in [0, 1], and an abstained record has no verdicts.
     """

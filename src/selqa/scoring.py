@@ -14,8 +14,9 @@ All scores land in [0, 1] and rank "answer" over "abstain":
 The sampling scores read one grouping of a record's samples by normalized
 text; score_record builds it once per record, at its first sampling method.
 score_record is plan_scores, which needs no similarity, then finish_scores,
-which makes the similarity calls; the CLI's adapter runs hold a window of
-records' plans while their pairs go to the scorer.
+which makes the similarity calls. The CLI calls these two itself, with the
+method names it resolved once for the run, and its adapter runs hold a
+window of records' plans while their pairs go to the scorer.
 avg-bleu scores a record's distinct answers against each other with one
 similarity.answer_similarities call, which applies the abstention override,
 makes one score_matrix call and checks every returned score in one pass.
@@ -235,21 +236,13 @@ def score_all(
         )
     if classifiers is None:
         classifiers = (CorrectnessClassifier.exact_match(),)
-    triggered, scores = score_checked(record, methods, fn)  # checked before any verdict
+    triggered = trigger_decision(record.greedy)
+    scores = score_record(record, methods, fn)
+    check_scored(triggered, scores, {})  # before any verdict
     correct: dict[str, bool] = {}
     if triggered:
         prediction, entry = normalize_answer(record.greedy.text), gold_entry(gold)
         for clf in classifiers:
             correct[clf.name] = clf._verdict(prediction, entry)
     return ScoredPrediction(record.question_id, triggered, scores, correct, gold.answerable)
-
-
-def score_checked(
-    record: PredictionRecord, methods: Iterable[str], fn: SimilarityFn | None
-) -> tuple[bool, dict[str, float]]:
-    """A record's trigger decision and scores, each score checked as ScoredPrediction does."""
-    triggered = trigger_decision(record.greedy)
-    scores = score_record(record, methods, fn)
-    check_scored(triggered, scores, {})
-    return triggered, scores
 

@@ -5,19 +5,22 @@ pairwise comparison for the ranking statistic, a full prefix rescan per
 cut for coverage, a fresh sort and slice per calibration bin, a full
 recount of the retained set per sweep cut, per-pair normalization from
 raw text for avg-bleu, fresh n-gram Counters per pair for BLEU, and a
-per-character category test for answer normalization. Apart from
-normalize_answer and the similarity function under test, they share no code
-with the package.
+per-character category test for answer normalization, and a dump reader
+that checks one line at a time, field by field. Apart from normalize_answer,
+the similarity function under test and the dump reader's per-line decoding
+and per-field checks, they share no code with the package.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import unicodedata
 from collections import Counter
 
-from selqa import EvalPoint
+from selqa import EvalPoint, ParseError
+from selqa.io import _check_unicode, _checked_record, _json_limit
 from selqa.textnorm import normalize_answer
 
 
@@ -193,3 +196,34 @@ def formatted_curve(curve) -> bytes:
     """A curve's csv bytes, a line string per (coverage, accuracy) point."""
     lines = ["coverage,accuracy"] + [f"{c:.4f},{a:.4f}" for c, a in curve]
     return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def line_at_a_time_predictions(path, start=0, end=None, first_line=1, *, samples=True):
+    """iter_predictions as one loop that decodes, parses, checks and yields each line in turn.
+
+    Each record takes the per-field path (_checked_record), which the
+    accept passes agree with wherever they take a line.
+    """
+    with open(path, "rb") as f:
+        f.seek(start)
+        offset = start
+        for lineno, raw in enumerate(f, start=first_line):
+            if end is not None and offset >= end:
+                return
+            offset += len(raw)
+            where = f"line {lineno}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ParseError(path, where, f"invalid UTF-8: {exc}") from exc
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(path, where, f"invalid JSON: {exc.msg}") from exc
+            except (ValueError, RecursionError) as exc:
+                raise ParseError(path, where, _json_limit(exc)) from exc
+            if b"\\u" in raw:
+                _check_unicode(obj, path, where)
+            yield _checked_record(obj, lineno, path, where, samples)

@@ -833,17 +833,35 @@ def _dumps(draw):
     ]
 
 
+# gold answers: the dump's texts, their variants and arbitrary short text
+_gold_texts = st.one_of(
+    _texts, st.sampled_from(["YES!", "the red apple", " ", "-", "an Unanswerable"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+
+
+@st.composite
+def _gold_answers(draw):
+    answer = {"answer": draw(_gold_texts)}
+    flag = draw(st.sampled_from([None, True, False]))
+    if flag is not None:
+        answer["answerable"] = flag
+    return answer
+
+
 @settings(max_examples=25, deadline=None)
 @given(_dumps(), st.sampled_from(["likelihood", "repetition,diversity", "avg-bleu",
-                                  "likelihood,repetition,diversity,avg-bleu"]))
-def test_accepted_dumps_score_or_fail_as_data_errors(records, methods):
+                                  "likelihood,repetition,diversity,avg-bleu"]), st.data())
+def test_accepted_dumps_score_or_fail_as_data_errors(records, methods, data):
     with tempfile.TemporaryDirectory() as tmp:
         pred = Path(tmp) / "p.jsonl"
         pred.write_text("".join(json.dumps(r) + "\n" for r in records))
         gold = Path(tmp) / "g.json"
-        gold.write_text(json.dumps(
-            [{"question_id": r["question_id"], "answers": [{"answer": "yes"}]} for r in records]
-        ))
+        gold.write_text(json.dumps([
+            {"question_id": r["question_id"],
+             "answers": data.draw(st.lists(_gold_answers(), min_size=1, max_size=4))}
+            for r in records
+        ]))
         assert len(load_predictions(str(pred))) == len(records)
         # any other exception escapes main() and fails the test with its traceback
         for argv in (["evaluate", "--gold", str(gold)], ["score", "--gold", str(gold)],

@@ -52,7 +52,7 @@ from selqa.synth import SynthConfig, generate
 from selqa.textnorm import distinct_normalized, normalize_answer
 
 from conftest import DATA_DIR
-from oracles import seen_join
+from oracles import line_at_a_time_predictions, seen_join
 
 
 def write(path, text):
@@ -418,6 +418,89 @@ class TestAcceptPass:
             assert load_predictions(str(path))
         assert load_predictions(str(tmp_path / "synth.jsonl")) == predictions
 
+def _surrogate(obj, data):
+    answer = _answer(obj, data)
+    answer["text"], answer["logprobs"] = "\ud800", [-1.0]
+
+
+# Faults of a whole dump line, as the line's bytes.
+LINE_FAULTS = {
+    "invalid-utf8": b'{"question_id": "\xff"}\n',
+    "bad-json": b"{not json\n",
+    "blank": b" \t\n",
+}
+# The record faults the dump draws, each a FAULTS entry or a lone surrogate escape.
+RECORD_FAULTS = {
+    **{name: FAULTS[name] for name in (
+        "zero-int", "huge-negative-int", "bool-logprob", "positive-float", "nan", "inf",
+        "-inf", "logprobs-without-text", "missing-greedy", "int-meta-value", "list-meta",
+        "sum-overflow",
+    )},
+    "lone-surrogate": _surrogate,
+}
+
+
+@st.composite
+def faulty_dumps(draw):
+    """A dump's bytes: up to 100 lines, a few of them faulty, often beside a batch boundary."""
+    objs = draw(st.lists(record_objs(), max_size=100))
+    n, batch = len(objs), selqa_io._ACCEPT_BATCH
+    near = [i for k in range(batch, n + 1, batch) for i in (k - 1, k) if i < n]
+    lines = [json.dumps(obj).encode("utf-8") + b"\n" for obj in objs]
+    if n:
+        places = st.sampled_from(near) if near else st.integers(0, n - 1)
+        spots = draw(st.lists(st.one_of(places, st.integers(0, n - 1)), max_size=4))
+        for i in spots:
+            fault = draw(st.sampled_from(sorted(LINE_FAULTS) + sorted(RECORD_FAULTS)))
+            if fault in LINE_FAULTS:
+                lines[i] = LINE_FAULTS[fault]
+            else:
+                RECORD_FAULTS[fault](objs[i], draw(st.data()))
+                lines[i] = json.dumps(objs[i]).encode("utf-8") + b"\n"
+    return b"".join(lines)
+
+
+def _read_all(records):
+    """Each record with its line and logprob types, then the ParseError message or None."""
+    read = []
+    try:
+        for record in records:
+            read.append((record, record.line, logprob_types(record)))
+    except ParseError as exc:
+        return read, str(exc)
+    return read, None
+
+
+class TestBatchedAcceptance:
+    """iter_predictions equals a reader that accepts one line at a time."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=faulty_dumps(), cut=st.data())
+    def test_records_and_the_first_error_match(self, data, cut):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "p.jsonl"
+            path.write_bytes(data)
+            starts = [0, *(i + 1 for i, byte in enumerate(data) if byte == 0x0A)]
+            a = cut.draw(st.integers(0, len(starts) - 1))
+            b = cut.draw(st.integers(a, len(starts) - 1))
+            shard = {"start": starts[a], "end": starts[b], "first_line": a + 1}
+            for kwargs in ({"samples": True}, {"samples": False}, shard):
+                got = _read_all(iter_predictions(str(path), **kwargs))
+                assert got == _read_all(line_at_a_time_predictions(str(path), **kwargs))
+
+    def test_a_bad_line_is_raised_after_the_records_before_it(self, tmp_path):
+        good = '{"question_id":"q%d","greedy":{"text":"a","logprobs":[-1.0]}}\n'
+        lines = [good % i for i in range(selqa_io._ACCEPT_BATCH + 3)]
+        lines[selqa_io._ACCEPT_BATCH + 1] = "{not json\n"
+        path = write(tmp_path / "p.jsonl", "".join(lines))
+        read = []
+        with pytest.raises(ParseError) as err:
+            for record in iter_predictions(path):
+                read.append(record.line)
+        assert read == list(range(1, selqa_io._ACCEPT_BATCH + 2))
+        assert str(err.value).startswith(f"{path}: line {selqa_io._ACCEPT_BATCH + 2}: invalid JSON")
+
+
 class TestGoldFile:
     def test_answerable_derived_by_or(self, tmp_path):
         data = [
@@ -740,6 +823,78 @@ class TestGoldStreaming:
                 return
             index = load_gold_index(str(gold_path))
         assert _read(index) == _whole_file_index(records)
+
+
+@st.composite
+def _answer_variant(draw):
+    """A raw answer that differs from others only in case, punctuation, articles and spaces."""
+    words = draw(st.sampled_from([["red", "apple"], ["cat"], ["2"], ["no"], []]))
+    out = []
+    for word in words:
+        if draw(st.booleans()):
+            out.append(draw(st.sampled_from(["a", "An", "THE"])))
+        out.append("".join(ch.upper() if draw(st.booleans()) else ch for ch in word)
+                   + draw(st.sampled_from(["", ".", "!", "-", ",?"])))
+    gaps = [draw(st.sampled_from([" ", "  ", "\t", " - "])) for _ in out]
+    return "".join(g + w for g, w in zip(gaps, out)) + draw(st.sampled_from(["", " ", "?"]))
+
+
+_variant_golds = st.lists(
+    st.lists(st.tuples(_answer_variant(), st.sampled_from([None, True, False])),
+             min_size=1, max_size=6),
+    max_size=12,
+)
+
+
+class TestGoldIndexNormalizesOnce:
+    @settings(max_examples=100, deadline=None)
+    @given(golds=_variant_golds, bound=st.sampled_from([1, 2, 3, selqa_io._NORMALIZED_MAX]))
+    def test_index_equals_the_entries_of_load_gold(self, golds, bound):
+        records = [{"question_id": f"q{i}", "answers": [
+            {"answer": raw} if flag is None else {"answer": raw, "answerable": flag}
+            for raw, flag in answers
+        ]} for i, answers in enumerate(golds)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp) / "g.json", json.dumps(records))
+            with patch.object(selqa_io, "_NORMALIZED_MAX", bound):
+                index = load_gold_index(path)
+            assert index == {r.question_id: gold_entry(r) for r in load_gold(path)}
+
+    def test_each_distinct_raw_answer_is_normalized_once_a_call(self, tmp_path, monkeypatch):
+        _, gold = generate(SynthConfig(n=300, seed=2, paraphrase_cluster_rate=0.5))
+        path = str(tmp_path / "g.json")
+        dump_gold(gold, path)
+        raws = [a.answer for g in gold for a in g.annotations]
+        assert len(set(raws)) < selqa_io._NORMALIZED_MAX < len(raws)
+        calls = []
+
+        def counted(raw):
+            calls.append(raw)
+            return normalize_answer(raw)
+
+        monkeypatch.setattr(selqa_io, "normalize_answer", counted)
+        first = load_gold_index(path)
+        assert sorted(calls) == sorted(set(raws))
+        # the next call normalizes every answer again: nothing is kept between calls
+        assert load_gold_index(path) == first
+        assert sorted(calls) == sorted([*set(raws), *set(raws)])
+
+    def test_a_full_memo_is_emptied_whole(self, tmp_path, monkeypatch):
+        raws = ["x", "x", "y", "z", "x"]
+        path = write(tmp_path / "g.json", json.dumps(
+            [{"question_id": f"q{i}", "answers": [{"answer": raw}]} for i, raw in enumerate(raws)]
+        ))
+        calls = []
+
+        def counted(raw):
+            calls.append(raw)
+            return normalize_answer(raw)
+
+        monkeypatch.setattr(selqa_io, "normalize_answer", counted)
+        monkeypatch.setattr(selqa_io, "_NORMALIZED_MAX", 2)
+        load_gold_index(path)
+        # the second "x" is held; "z" finds the memo full and empties it, so "x" is not
+        assert calls == ["x", "y", "z", "x"]
 
 
 def prediction(qid):

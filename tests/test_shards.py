@@ -185,14 +185,14 @@ def ids_at_the_first_frame(monkeypatch):
 def scored_ids(monkeypatch, tmp_path):
     """read(): the ids every process has scored since the last read, in the order logged."""
     log = tmp_path / "scored.log"
-    score_checked = scoring.score_checked
+    plan_scores = scoring.plan_scores
 
-    def logged(record, methods, fn):
+    def logged(record, methods):
         with open(log, "a", encoding="utf-8") as f:
             f.write(record.question_id + "\n")
-        return score_checked(record, methods, fn)
+        return plan_scores(record, methods)
 
-    monkeypatch.setattr(scoring, "score_checked", logged)
+    monkeypatch.setattr(scoring, "plan_scores", logged)
 
     def read():
         ids = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
