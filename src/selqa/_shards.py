@@ -10,8 +10,9 @@ behind its 8-byte length (_framed), and an empty message is the end
 marker; _read reads one back. marshal is built in and already loaded,
 where importing pickle alone would add about 0.4 MiB to the parent's peak.
 
-A worker runs the step over its byte range. Until the gold ids arrive it
-scores every record. Once its gold index is built, the parent sends the ids
+A worker runs the CLI's one scoring step over its byte range, a window of
+records ahead, as a serial run does. Until the gold ids arrive it scores
+every record. Once its gold index is built, the parent sends the ids
 down a second pipe per worker (send_ids), _IDS_CHUNK ids a message, then
 the end marker. The worker looks for them between frames without waiting,
 reads them all once they have begun to arrive, and from then on skips any
@@ -61,8 +62,11 @@ _CHUNK = 1 << 20
 #: The errors a frame carries, by index: the classes main() maps to exit codes.
 _KINDS = (DataError, AdapterError, OSError)
 
-#: The CLI's scoring step: records to their items, in order. A record whose
-#: id the container lacks is passed on unscored; None scores every record.
+#: The CLI's one scoring step: records to their items, in order, a window
+#: of records read ahead. A record whose id the container lacks is passed
+#: on unscored; None scores every record. A worker's container is its
+#: _GoldIds, which hold ids only: the step reads gold entries only for the
+#: verdicts it plans on an adapter run, and an adapter run is never sharded.
 Step = Callable[[Iterable[PredictionRecord], Container[str] | None], Iterator[Scored]]
 
 

@@ -11,19 +11,24 @@ raw answer normalized once), and then the dump lines are parsed and
 checked, a batch of parsed lines accepted at a time with the records and
 errors of one line at a time, and each record goes through one scoring
 step and is joined in turn; the join marks the entries it matches rather
-than keeping a set of every id. The step plans a record's scores and
-finishes them with the method names resolved once for the run
-(scoring.plan_scores, then finish_scores), and yields its trigger
-decision, scores and normalized greedy text; the loop decides the verdict,
-with any classifier, once the join has passed the record. Under --methods
-likelihood alone the loader builds no samples, as no method reads them.
-The process holds the gold index, one batch of parsed lines and the
-scored records as columns (selqa._columns: ids, flag bytes and a float
-array per method), never the whole dump and no object per record or gold
-entry; the report, curves and sweep read one ranking per method of those
-columns (metrics.rank_methods), and each curve and the score JSONL are
-written line by line into one buffer, which goes to stdout as its bytes.
-score without --gold joins nothing,
+than keeping a set of every id. The step reads the dump a window of
+_WINDOW records ahead. It plans each record as it is read: the record's
+trigger decision, its normalized greedy text, and its scores or the
+answers and weights avg-similarity needs (scoring.plan_scores). The
+similarity's prefetch draws each record's pairs as it is planned; only an
+adapter sends them, to its scorer at once, and reads the window's replies
+as one exchange. The window's records are then scored in file order
+(scoring.finish_scores, with the method names resolved once for the run);
+the loop decides the verdict, with any classifier, once the join has
+passed the record. Under --methods likelihood alone the loader builds no
+samples, as no method reads them.
+The process holds the gold index, one batch of parsed lines, one window of
+planned records and the scored records as columns (selqa._columns: ids,
+flag bytes and a float array per method), never the whole dump and no
+object per scored record or gold entry; the report, curves and sweep read
+one ranking per method of those columns (metrics.rank_methods), and each
+curve and the score JSONL are written line by line into one buffer, which
+goes to stdout as its bytes. score without --gold joins nothing,
 so ids may repeat. A record the loader accepts but a scoring
 method cannot score (no greedy logprobs, no samples, sample probabilities
 summing above 1) is a data error naming the file, the line and the
@@ -37,18 +42,11 @@ it have already been scored, adapter requests included. The step keeps a
 record's scoring error for the loop to raise once the join has passed the
 record, so a line that repeats an id is scored before it is rejected (its
 verdict is never decided), and the duplicate is reported even when the
-line cannot be scored. The join summary is printed once the last line is
-read.
-
-An adapter run (always serial) reads the dump a window of _WINDOW records
-ahead: each record is planned as it is read, its scores or the answers and
-weights avg-similarity needs (scoring.plan_scores), and its missing pairs
-go to the scorer at once; the window's replies are read as one exchange,
-and its records are then scored and joined in file order from the pair
-table. So an error still names the first failing line, but later lines of
-its window may already have had their pairs sent. A reply surplus names
-the window's lines, and bytes the scorer writes after the run's last reply
-fail the run when the scorer is closed, before any output.
+line cannot be scored. On an adapter run, later lines of the failing
+line's window may already have had their pairs sent. A reply surplus
+names the window's lines, and bytes the scorer writes after the run's last
+reply fail the run when the scorer is closed, before any output. The join
+summary is printed once the last line is read.
 
 Outputs are written only after the last line is read, all or none (each
 staged under its own name in a temp directory beside its target, through
@@ -101,8 +99,8 @@ _CLASSIFIER_CHOICES = ("em", "bleu-threshold", "adapter-threshold")
 #: Fewest dump bytes worth a shard: a smaller dump, or one below two of
 #: these, is scored serially, as forking would cost more than it saves.
 _SHARD_MIN_BYTES = 1 << 18
-#: Dump records an adapter run reads ahead: their pairs go to the scorer as
-#: each is read, and their replies are read as one exchange.
+#: Dump records the scoring step reads ahead: an adapter sends their pairs
+#: to the scorer as each is read, and reads their replies as one exchange.
 _WINDOW = 64
 
 class _Parser(argparse.ArgumentParser):
@@ -239,16 +237,12 @@ def _build_classifier(args: argparse.Namespace, fn: SimilarityFn) -> Correctness
     return CorrectnessClassifier.adapter_threshold(fn, args.threshold)
 
 
-def _located(predictions_path: str, record: PredictionRecord | Scored, exc: Exception) -> str:
-    return f"{predictions_path}: line {record.line}: question_id {record.question_id!r}: {exc}"
-
-
 def _locate(
-    predictions_path: str, record: PredictionRecord | Scored, exc: ValueError | AdapterError
+    predictions_path: str, item: Scored, exc: ValueError | AdapterError
 ) -> DataError | AdapterError:
-    """exc as the record's located error: an adapter error, or else a data error."""
+    """exc as the item's located error: an adapter error, or else a data error."""
     kind = AdapterError if isinstance(exc, AdapterError) else DataError
-    return kind(_located(predictions_path, record, exc))
+    return kind(f"{predictions_path}: line {item.line}: question_id {item.question_id!r}: {exc}")
 
 
 def _lines(window: Sequence[tuple]) -> str:
@@ -360,9 +354,9 @@ def _score(
 
     Returns the scored records as a column table, the classifier (None
     without --gold, when no record is correct and ids may repeat) and the
-    similarity's name. Every record goes through one scoring step, which
-    makes ScoredPrediction's checks on its scores without building one, and
-    the loop decides each verdict once the join has passed the record. When
+    similarity's name. Every record goes through one scoring step (windows),
+    which makes ScoredPrediction's check on its scores without building one,
+    and the loop decides each verdict once the join has passed the record. When
     _shard_cuts cuts the dump, one forked worker per shard (selqa._shards)
     runs that step while this process reads the gold file, and their items
     join the loop in file order; a serial run reads the gold file first.
@@ -373,57 +367,31 @@ def _score(
     with _build_similarity(args) as fn:
         classifier = _build_classifier(args, fn) if args.gold else None
 
-        def checked(triggered: bool, parts: list, error: ValueError | None) -> list[float]:
-            """The scores of a record's planned parts, checked as ScoredPrediction checks them.
-
-            The similarity calls come first, then the error of the method
-            that could not plan, then the checks of the scores.
-            """
-            scores = scoring.finish_scores(methods, parts, fn)
-            if error is not None:
-                raise error
-            check_scored(triggered, scores, {})
-            return list(scores.values())  # in methods' order
-
-        def step(
-            records: Iterable[PredictionRecord], known: Container[str] | None
-        ) -> Iterator[Scored]:
-            for record in records:
-                result = failure = None
-                if known is None or record.question_id in known:
-                    try:
-                        triggered = scoring.trigger_decision(record.greedy)
-                        scores = checked(triggered, *scoring.plan_scores(record, methods))
-                        # what the verdict reads, once the join has passed the record
-                        text = (normalize_answer(record.greedy.text)
-                                if triggered and classifier else None)
-                        result = (triggered, text, scores)
-                    except (ValueError, AdapterError) as exc:
-                        failure = _locate(args.predictions, record, exc)
-                yield Scored(record.question_id, record.line, result, failure)
-
         def windows(
-            records: Iterable[PredictionRecord], gold: dict[str, str] | None
+            records: Iterable[PredictionRecord], gold: Container[str] | None
         ) -> Iterator[Scored]:
-            """step for an adapter run, which holds one window of records at a time.
+            """The scoring step: records to their items, one window of records at a time.
 
             Each record is planned as it is read (scoring.plan_scores), and
             its avg-similarity pairs, then its adapter-threshold verdict row,
-            go to the scorer at once through fn.prefetch. Once _WINDOW
-            records are read, the window's replies are tabled, and its items
-            are scored from the table in file order, so a record's adapter
-            error still names it. A dump line that cannot be read ends its
-            window, and its error is raised after the window's records and
-            after the window's reply surplus, if any, which names the
-            window's lines.
+            are drawn at once by fn.prefetch, which an adapter sends to its
+            scorer. Once _WINDOW records are read, an adapter tables the
+            window's replies, and the window's items are scored in file
+            order, so a record's error still names it. A record whose id
+            gold lacks is passed on unscored. A dump line that cannot be
+            read ends its window, and its error is raised after the window's
+            records and after the window's reply surplus, if any, which
+            names the window's lines.
             """
             records = iter(records)
             failure: list[DataError | OSError] = []  # the error reading the dump raised
+            # Verdict rows read gold entries. A shard worker's gold holds ids
+            # only, but only an adapter run, never sharded, plans verdicts.
             verdicts = classifier is not None and classifier.similarity is fn
 
             def requests(window: list, record: PredictionRecord) -> Iterator[list]:
                 """Plan record and the ones after it into window; yield each one's matrices."""
-                ids: set[str] = set()  # the window's ids the gold index holds
+                ids: set[str] = set()  # the window's ids the gold holds
                 while True:
                     qid, matrices = record.question_id, []
                     if gold is None or qid in gold:
@@ -433,6 +401,7 @@ def _score(
                             if type(part) is tuple:  # the avg method's answers and weights
                                 keys = proper_answers(part[0])
                                 matrices.append((keys, keys))
+                        # what the verdict reads, once the join has passed the record
                         text = (normalize_answer(record.greedy.text)
                                 if triggered and classifier else None)
                         # the verdict row of a record the join will pass
@@ -459,9 +428,13 @@ def _score(
                 qid: str, line: int, triggered: bool, text: str | None,
                 parts: list, error: ValueError | None,
             ) -> Scored:
+                """A planned record's item: its similarity calls, its plan's error, then checks."""
                 item = Scored(qid, line, None, None)
                 try:
-                    scores = checked(triggered, parts, error)
+                    scores = scoring.finish_scores(parts, fn)
+                    if error is not None:
+                        raise error
+                    check_scored(zip(methods, scores))
                 except (ValueError, AdapterError) as exc:
                     return item._replace(error=_locate(args.predictions, item, exc))
                 return item._replace(result=(triggered, text, scores))
@@ -484,7 +457,7 @@ def _score(
         if cuts is not None:
             from . import _shards
 
-            workers = _shards.fork_workers(args.predictions, cuts, step, samples)
+            workers = _shards.fork_workers(args.predictions, cuts, windows, samples)
         records = None
         summary = selqa_io.JoinSummary()
         try:
@@ -495,7 +468,7 @@ def _score(
                 items = chain.from_iterable(workers)
             else:
                 records = selqa_io.iter_predictions(args.predictions, samples=samples)
-                items = (windows if args.adapter_cmd is not None else step)(records, gold)
+                items = windows(records, gold)
             if gold is not None:
                 items = selqa_io.join_stream(items, gold, summary, args.predictions)
             table = Columns(methods)

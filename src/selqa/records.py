@@ -168,19 +168,20 @@ class ScoredPrediction(_Value):
         _set(self, "scores", scores)
         _set(self, "correct", correct)
         _set(self, "answerable", answerable)
-        check_scored(triggered, scores, correct)
+        check_scored(scores.items())
+        if not triggered and correct:
+            raise ValueError("abstained records carry no correctness verdicts")
 
 
-def check_scored(triggered: bool, scores: Mapping[str, float], correct: Mapping[str, bool]) -> None:
-    """ScoredPrediction's checks, made without building one (score_all, the CLI's steps).
+def check_scored(scores: Iterable[tuple[str, float]]) -> None:
+    """Check (method, score) pairs: every score is finite and in [0, 1].
 
-    Every score is finite and in [0, 1], and an abstained record has no verdicts.
+    ScoredPrediction makes this check; score_all and the CLI's scoring step
+    make it without building one.
     """
-    for name, value in scores.items():
+    for name, value in scores:
         if not (math.isfinite(value) and 0.0 <= value <= 1.0):
             raise ValueError(f"score {name!r} out of [0, 1]: {value}")
-    if not triggered and correct:
-        raise ValueError("abstained records carry no correctness verdicts")
 
 
 class MethodMetrics(_Value):

@@ -15,8 +15,8 @@ The sampling scores read one grouping of a record's samples by normalized
 text; score_record builds it once per record, at its first sampling method.
 score_record is plan_scores, which needs no similarity, then finish_scores,
 which makes the similarity calls. The CLI calls these two itself, with the
-method names it resolved once for the run, and its adapter runs hold a
-window of records' plans while their pairs go to the scorer.
+method names it resolved once for the run, and holds a window of records'
+plans at a time, whose pairs an adapter sends to its scorer.
 avg-bleu scores a record's distinct answers against each other with one
 similarity.answer_similarities call, which applies the abstention override,
 makes one score_matrix call and checks every returned score in one pass.
@@ -171,10 +171,10 @@ def score_record(
     fn = fn if fn is not None else BleuSimilarity()
     names = resolve_method_names(methods, fn.name)
     parts, error = plan_scores(record, names)
-    scores = finish_scores(names, parts, fn)
+    scores = finish_scores(parts, fn)
     if error is not None:
         raise error
-    return scores
+    return dict(zip(names, scores))
 
 
 def plan_scores(
@@ -207,15 +207,13 @@ def plan_scores(
     return parts, None
 
 
-def finish_scores(
-    methods: Sequence[str], parts: Sequence[float | AvgInputs], fn: SimilarityFn
-) -> dict[str, float]:
-    """The scores of plan_scores' parts, keyed by method, the avg method's through fn."""
-    return {
-        name: _avg_score(part[1], answer_similarities(part[0], part[0], fn))
+def finish_scores(parts: Sequence[float | AvgInputs], fn: SimilarityFn) -> list[float]:
+    """The scores of plan_scores' parts, in their methods' order, the avg method's through fn."""
+    return [
+        _avg_score(part[1], answer_similarities(part[0], part[0], fn))
         if type(part) is tuple else part
-        for name, part in zip(methods, parts)
-    }
+        for part in parts
+    ]
 
 
 def score_all(
@@ -238,7 +236,7 @@ def score_all(
         classifiers = (CorrectnessClassifier.exact_match(),)
     triggered = trigger_decision(record.greedy)
     scores = score_record(record, methods, fn)
-    check_scored(triggered, scores, {})  # before any verdict
+    check_scored(scores.items())  # before any verdict
     correct: dict[str, bool] = {}
     if triggered:
         prediction, entry = normalize_answer(record.greedy.text), gold_entry(gold)

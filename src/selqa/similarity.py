@@ -4,7 +4,8 @@ Everything here works on normalized text: the callers that hold raw answers
 (scoring and correctness) normalize each answer once, and similarity
 functions score a (candidate, reference) pair of normalized answers into
 [0, 1]. ``SimilarityFn.score_matrix`` scores candidates against references
-in one call, the seam a batching scorer overrides. ``answer_similarities``,
+in one call, the seam a batching scorer overrides, and ``prefetch`` takes
+a window's requests ahead of those calls. ``answer_similarities``,
 the one checked entry point, applies the abstention override and checks
 what score_matrix returns: its shape, then every score in one pass that
 names the first one outside [0, 1] and accepts ints as well as floats.
@@ -25,7 +26,7 @@ import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import AdapterError
 from .records import ABSTENTION_MARKER
@@ -123,6 +124,18 @@ class SimilarityFn(ABC):
         can batch overrides it.
         """
         return [[self.similarity(a, b) for b in references] for a in candidates]
+
+    def prefetch(
+        self, requests: Iterable[Iterable[tuple[Sequence[str], Sequence[str]]]]
+    ) -> AdapterError | None:
+        """Take a window's (candidates, references) requests, an item per record, ahead.
+
+        The default keeps no scores: it draws every request and returns None.
+        selqa.adapter's scorer tables them, and returns any surplus reply's error.
+        """
+        for _ in requests:
+            pass
+        return None
 
     def close(self) -> None:
         """Release any held resources (no-op for pure scorers)."""

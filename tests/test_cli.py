@@ -812,7 +812,15 @@ class TestGoldFromAPipe:
         )
 
 
-_texts = st.sampled_from(["", "yes", "Yes.", "no", "red apple", "unanswerable"])
+# dump texts: fixed answers, short runs of adversarial tokens (the abstention
+# marker, articles, punctuation, non-ASCII and whitespace) and arbitrary short text
+_texts = st.one_of(
+    st.sampled_from(["", "yes", "Yes.", "no", "red apple", "unanswerable"]),
+    st.lists(st.sampled_from(["unanswerable", "Unanswerable.", "the", "An", "a", "yes", ".",
+                              "?!", "-", "'s", "café", "日本", "ß", "\u00a0", "\u3000", "\t",
+                              " ", "\n"]), max_size=4).map(" ".join),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
 
 
 @st.composite

@@ -10,6 +10,7 @@ import gc
 import json
 import os
 import select
+import shlex
 import signal
 import struct
 import threading
@@ -111,6 +112,18 @@ def _same_at_any_count(run, *argv):
     return serial
 
 
+def _same_on_every_path(run, *argv):
+    """The serial outcome of a failing argv, after checking shards and an adapter give it too.
+
+    The adapter run scores through the jaccard line scorer, serially; a
+    failing run writes no output, so all of its outcome must be equal.
+    """
+    serial = _same_at_any_count(run, *argv)
+    adapter = ("--adapter-cmd", shlex.join(adapter_cmd("jaccard")), "--adapter-name", "jaccard")
+    assert run(1, *argv, *adapter) == serial
+    return serial
+
+
 def _shard_of(path: str, line: int, n: int, monkeypatch) -> int:
     """The shard that holds a line of path when cut for n workers."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
@@ -183,7 +196,10 @@ def ids_at_the_first_frame(monkeypatch):
 
 @pytest.fixture
 def scored_ids(monkeypatch, tmp_path):
-    """read(): the ids every process has scored since the last read, in the order logged."""
+    """read(): the ids every process has scored since the last read, in the order logged.
+
+    It logs each record the scoring step plans (scoring.plan_scores).
+    """
     log = tmp_path / "scored.log"
     plan_scores = scoring.plan_scores
 
@@ -311,7 +327,7 @@ class TestErrorOrder:
             # a second failing line after the first: the first must win
             lines.append(b"{also not json")
             pred.write_bytes(b"\n".join(lines) + b"\n")
-            code, _, err, written = _same_at_any_count(
+            code, _, err, written = _same_on_every_path(
                 sharded, *argv, "--predictions", pred, "--out", tmp_path / "out"
             )
             assert code == 2 and written == {}
@@ -320,6 +336,28 @@ class TestErrorOrder:
                 shards[n].add(_shard_of(str(pred), at + 1, n, monkeypatch))
         # the failing line fell in every shard, the parent's included
         assert shards == {2: {0, 1}, 3: {0, 1, 2}}
+
+    @pytest.mark.parametrize("at", [64, 63], ids=["across-a-window-edge", "inside-a-window"])
+    @pytest.mark.parametrize("with_gold", [True, False])
+    def test_unscorable_line_before_an_unparseable_one(self, sharded, tmp_path, at, with_gold):
+        # the step reads _WINDOW records ahead: line 64 ends the first window, and
+        # a line that does not parse ends a window early
+        assert cli._WINDOW == 64
+        ids = [f"q{i}" for i in range(1, 71)]
+        lines = [_line(q) for q in ids]
+        lines[at - 1] = MALFORMED["no-samples"]
+        lines[at] = MALFORMED["not-json"]
+        pred = tmp_path / "p.jsonl"
+        pred.write_text("".join(line + "\n" for line in lines))
+        gold = tmp_path / "g.json"
+        gold.write_text(_gold_of(ids + ["bad"]))
+        argv = ["evaluate", "--gold", gold] if with_gold else ["score"]
+        code, _, err, written = _same_on_every_path(
+            sharded, *argv, "--predictions", pred, "--out", tmp_path / "out"
+        )
+        assert (code, written) == (2, {})
+        assert err == (f"data error: {pred}: line {at}: question_id 'bad': "
+                       "repetition needs at least one sample\n")
 
     @pytest.mark.parametrize("first,repeat", [(1, 6), (5, 6), (1, 2)])
     def test_duplicate_id(self, sharded, tmp_path, first, repeat):
